@@ -6,17 +6,16 @@ Exit codes: 0 success, 1 row failures or failed checks, 2 usage errors.
 import argparse
 import configparser
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .model import CycleParams
+from .model import CYCLE_FIELDS, CycleParams
 from .presets import PRESET_NAMES, figure_preset
 from .propagators import PropagatorMode
 from .sweep import ROUTES, SweepSpec, failure_count, run_sweep, write_csv
 from .validation import run_validation
 
 _MODE_NAMES = {mode.value: mode for mode in PropagatorMode}
-
-_CYCLE_KEYS = ("eps_a", "eps_b", "beta_a", "beta_b", "kappa", "omega", "tau")
 
 
 class UsageError(Exception):
@@ -42,14 +41,18 @@ def _parse_routes(text: str) -> tuple[str, ...]:
     return routes
 
 
-def load_config(path: str) -> tuple[SweepSpec, str | None]:
+def load_config(path: str, **overrides) -> tuple[SweepSpec, str | None]:
     """Read a key = value run configuration.
 
     Cycle parameters are plain top-level keys (a leading [cycle] header is
-    also accepted); the sweep axis lives in a [sweep] section.  Returns the
+    also accepted); the sweep axis lives in a [sweep] section.  `overrides`
+    replace SweepSpec fields before the spec is validated.  Returns the
     spec and the configured output path, if any.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot read config {path}: {exc.strerror or exc}") from None
     stripped = text.lstrip()
     if not stripped.startswith("["):
         text = "[cycle]\n" + text
@@ -65,11 +68,11 @@ def load_config(path: str) -> tuple[SweepSpec, str | None]:
         raise UsageError(f"config {path} has no [sweep] section")
 
     cycle = parser["cycle"]
-    missing = [key for key in _CYCLE_KEYS if key not in cycle]
+    missing = [key for key in CYCLE_FIELDS if key not in cycle]
     if missing:
         raise UsageError(f"config {path} is missing cycle keys: {', '.join(missing)}")
     try:
-        base = CycleParams(**{key: cycle.getfloat(key) for key in _CYCLE_KEYS})
+        base = CycleParams(**{key: cycle.getfloat(key) for key in CYCLE_FIELDS})
     except ValueError as exc:
         raise UsageError(f"invalid cycle parameters in {path}: {exc}") from None
 
@@ -77,6 +80,11 @@ def load_config(path: str) -> tuple[SweepSpec, str | None]:
     for key in ("variable", "start", "stop", "points"):
         if key not in sweep:
             raise UsageError(f"config {path} [sweep] is missing {key!r}")
+    evaluation = {
+        "mode": _parse_mode(sweep.get("mode", PropagatorMode.INTERACTION_ONLY.value)),
+        "routes": _parse_routes(sweep.get("routes", ",".join(ROUTES))),
+        **overrides,
+    }
     try:
         spec = SweepSpec(
             base=base,
@@ -84,8 +92,7 @@ def load_config(path: str) -> tuple[SweepSpec, str | None]:
             start=sweep.getfloat("start"),
             stop=sweep.getfloat("stop"),
             points=sweep.getint("points"),
-            mode=_parse_mode(sweep.get("mode", PropagatorMode.INTERACTION_ONLY.value)),
-            routes=_parse_routes(sweep.get("routes", ",".join(ROUTES))),
+            **evaluation,
         )
     except ValueError as exc:
         raise UsageError(f"invalid [sweep] section in {path}: {exc}") from None
@@ -101,38 +108,35 @@ def _series_path(out: Path, label: str, multi: bool) -> Path:
 def _cmd_sweep(args) -> int:
     if args.preset is None and args.config is None:
         raise UsageError("provide --preset or --config")
+    if args.workers < 1:
+        raise UsageError(f"--workers must be at least 1, got {args.workers}")
+    overrides = {}
+    if args.mode is not None:
+        overrides["mode"] = _parse_mode(args.mode)
+    if args.routes is not None:
+        overrides["routes"] = _parse_routes(args.routes)
 
     series: list[tuple[str, SweepSpec]] = []
     out: Path | None = Path(args.out) if args.out else None
     if args.config is not None:
-        spec, config_out = load_config(args.config)
+        spec, config_out = load_config(args.config, **overrides)
         if out is None and config_out:
             out = Path(config_out)
         series.append(("main", spec))
     if args.preset is not None:
         try:
             preset = figure_preset(args.preset)
+            series.extend((label, replace(spec, **overrides)) for label, spec in preset.series)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        series.extend(preset.series)
     if out is None:
         raise UsageError("provide --out (or an `out` key in the config)")
+    if not out.parent.is_dir():
+        raise UsageError(f"output directory {out.parent} does not exist")
 
     failures = 0
     multi = len(series) > 1
     for label, spec in series:
-        if args.mode is not None:
-            spec = SweepSpec(
-                base=spec.base, variable=spec.variable, start=spec.start,
-                stop=spec.stop, points=spec.points, mode=_parse_mode(args.mode),
-                routes=spec.routes,
-            )
-        if args.routes is not None:
-            spec = SweepSpec(
-                base=spec.base, variable=spec.variable, start=spec.start,
-                stop=spec.stop, points=spec.points, mode=spec.mode,
-                routes=_parse_routes(args.routes),
-            )
         rows = run_sweep(spec, workers=args.workers)
         path = _series_path(out, label, multi)
         write_csv(rows, str(path))

@@ -12,11 +12,12 @@ Conventions, fixed once for the whole package:
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
-from .linalg import kron
+from .linalg import RowErrors, kron, checked
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -27,9 +28,25 @@ IDENTITY_4 = np.eye(4, dtype=complex)
 # exp(beta*eps) overflows float64 beyond this; populations never need it.
 BETA_EPS_MAX = 700.0
 
+DEGENERATE = "kappa and omega cannot both vanish (degenerate cycle)"
+
+
+class _Gaps:
+    """Gap combinations shared by one cycle and a batch of cycles."""
+
+    @property
+    def delta_eps(self):
+        """Gap difference eps_a - eps_b."""
+        return self.eps_a - self.eps_b
+
+    @property
+    def eps_p(self):
+        """Gap sum eps_a + eps_b."""
+        return self.eps_a + self.eps_b
+
 
 @dataclass(frozen=True)
-class CycleParams:
+class CycleParams(_Gaps):
     """All physical controls of one cycle (hbar = k_B = 1).
 
     eps_a, eps_b   energy gaps of the hot/cold qubit
@@ -64,15 +81,36 @@ class CycleParams:
                 f"beta_a={self.beta_a!r}, beta_b={self.beta_b!r}"
             )
 
-    @property
-    def delta_eps(self) -> float:
-        """Gap difference eps_a - eps_b."""
-        return self.eps_a - self.eps_b
 
-    @property
-    def eps_p(self) -> float:
-        """Gap sum eps_a + eps_b."""
-        return self.eps_a + self.eps_b
+CYCLE_FIELDS = tuple(f.name for f in fields(CycleParams))
+
+
+class CycleArrays(_Gaps):
+    """N validated cycles as float64 arrays of shape (N,), one row per cycle.
+
+    The batch kernels of the package take this; every public one-cycle
+    function is the same kernel run on a single row.
+    """
+
+    eps_a: np.ndarray
+    eps_b: np.ndarray
+    beta_a: np.ndarray
+    beta_b: np.ndarray
+    kappa: np.ndarray
+    omega: np.ndarray
+    tau: np.ndarray
+
+    def __init__(self, params: Sequence[CycleParams]):
+        table = np.array(
+            [[getattr(p, name) for name in CYCLE_FIELDS] for p in params], dtype=float
+        ).reshape(-1, len(CYCLE_FIELDS))
+        # one contiguous array per field: a row's arithmetic must not depend
+        # on the stride or position it has in its batch
+        for name, column in zip(CYCLE_FIELDS, np.ascontiguousarray(table.T)):
+            setattr(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.tau)
 
 
 @dataclass(frozen=True)
@@ -101,7 +139,12 @@ def thermal_populations(eps: float, beta: float) -> tuple[float, float]:
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
     if not (math.isfinite(beta) and beta > 0.0):
         raise ValueError(f"beta must be positive and finite, got {beta!r}")
-    w = math.exp(-beta * eps)
+    p_g, p_e = _gibbs(np.array([eps], dtype=float), np.array([beta], dtype=float))
+    return float(p_g[0]), float(p_e[0])
+
+
+def _gibbs(eps: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    w = np.exp(-beta * eps)
     return w / (1.0 + w), 1.0 / (1.0 + w)
 
 
@@ -140,12 +183,36 @@ def log_partition_function(eps: float, beta: float) -> float:
     return x + math.log1p(math.exp(-x))
 
 
+# Collective operators S_alpha = (sigma_alpha x I + I x sigma_alpha)/2.
+SX = 0.5 * (kron(SIGMA_X, IDENTITY_2) + kron(IDENTITY_2, SIGMA_X))
+SY = 0.5 * (kron(SIGMA_Y, IDENTITY_2) + kron(IDENTITY_2, SIGMA_Y))
+SZ = 0.5 * (kron(SIGMA_Z, IDENTITY_2) + kron(IDENTITY_2, SIGMA_Z))
+_SX_SQUARED = SX @ SX
+
+
 def collective_ops() -> SpinOps:
     """Collective operators S_alpha = (sigma_alpha x I + I x sigma_alpha)/2."""
-    sx = 0.5 * (kron(SIGMA_X, IDENTITY_2) + kron(IDENTITY_2, SIGMA_X))
-    sy = 0.5 * (kron(SIGMA_Y, IDENTITY_2) + kron(IDENTITY_2, SIGMA_Y))
-    sz = 0.5 * (kron(SIGMA_Z, IDENTITY_2) + kron(IDENTITY_2, SIGMA_Z))
-    return SpinOps(sx=sx, sy=sy, sz=sz)
+    return SpinOps(sx=SX.copy(), sy=SY.copy(), sz=SZ.copy())
+
+
+def flag_degenerate(kappa: np.ndarray, omega: np.ndarray, errors: RowErrors) -> None:
+    """Fail the rows whose coupling vanishes entirely (kappa = omega = 0)."""
+    errors.flag((kappa == 0.0) & (omega == 0.0), lambda i: ValueError(DEGENERATE))
+
+
+def interaction_generators(kappa: np.ndarray, omega: np.ndarray, errors: RowErrors) -> np.ndarray:
+    """kappa*S_x^2 + omega*S_z for each row, shape (N, 4, 4)."""
+    flag_degenerate(kappa, omega, errors)
+    return kappa[:, None, None] * _SX_SQUARED + omega[:, None, None] * SZ
+
+
+def free_generators(c: CycleArrays) -> np.ndarray:
+    """Sum of the local Hamiltonians for each row, shape (N, 4, 4)."""
+    h = np.zeros((len(c), 4, 4), dtype=complex)
+    h[:, 1, 1] = -c.eps_b
+    h[:, 2, 2] = -c.eps_a
+    h[:, 3, 3] = -c.eps_a - c.eps_b
+    return h
 
 
 def interaction_hamiltonian(kappa: float, omega: float) -> np.ndarray:
@@ -158,29 +225,47 @@ def interaction_hamiltonian(kappa: float, omega: float) -> np.ndarray:
         raise ValueError(f"kappa must be nonnegative and finite, got {kappa!r}")
     if not (math.isfinite(omega) and omega >= 0.0):
         raise ValueError(f"omega must be nonnegative and finite, got {omega!r}")
-    if kappa == 0.0 and omega == 0.0:
-        raise ValueError("kappa and omega cannot both vanish (degenerate cycle)")
-    ops = collective_ops()
-    return kappa * (ops.sx @ ops.sx) + omega * ops.sz
+    return checked(interaction_generators, np.array([float(kappa)]), np.array([float(omega)]))[0]
 
 
 def free_hamiltonian(p: CycleParams) -> np.ndarray:
     """Sum of the local Hamiltonians: diag(0, -eps_b, -eps_a, -eps_a-eps_b)."""
-    return kron(local_hamiltonian(p.eps_a), IDENTITY_2) + kron(
-        IDENTITY_2, local_hamiltonian(p.eps_b)
-    )
+    return free_generators(CycleArrays([p]))[0]
+
+
+def populations(c: CycleArrays) -> np.ndarray:
+    """Diagonal of each initial state, (p_gg, p_ge, p_eg, p_ee): shape (N, 4)."""
+    pg_a, pe_a = _gibbs(c.eps_a, c.beta_a)
+    pg_b, pe_b = _gibbs(c.eps_b, c.beta_b)
+    return np.stack([pg_a * pg_b, pg_a * pe_b, pe_a * pg_b, pe_a * pe_b], axis=-1)
+
+
+def diagonal_states(pops: np.ndarray) -> np.ndarray:
+    """Density matrices with the given diagonals, shape (N, 4, 4)."""
+    rho = np.zeros(pops.shape + (4,), dtype=complex)
+    idx = np.arange(4)
+    rho[:, idx, idx] = pops
+    return rho
 
 
 def initial_state(p: CycleParams) -> np.ndarray:
     """Product of the two local thermal states (diagonal, uncorrelated)."""
-    return kron(thermal_state(p.eps_a, p.beta_a), thermal_state(p.eps_b, p.beta_b))
+    return diagonal_states(populations(CycleArrays([p])))[0]
 
 
 def initial_populations(p: CycleParams) -> np.ndarray:
     """Diagonal of the initial state: (p_gg, p_ge, p_eg, p_ee)."""
-    pg_a, pe_a = thermal_populations(p.eps_a, p.beta_a)
-    pg_b, pe_b = thermal_populations(p.eps_b, p.beta_b)
-    return np.array([pg_a * pg_b, pg_a * pe_b, pe_a * pg_b, pe_a * pe_b])
+    return populations(CycleArrays([p]))[0]
+
+
+def corner_gap(pops: np.ndarray) -> np.ndarray:
+    """p_ee - p_gg over the last axis of a population array."""
+    return pops[..., 3] - pops[..., 0]
+
+
+def center_gap(pops: np.ndarray) -> np.ndarray:
+    """p_eg - p_ge over the last axis of a population array."""
+    return pops[..., 2] - pops[..., 1]
 
 
 def corner_population_gap(p: CycleParams) -> float:
@@ -188,8 +273,7 @@ def corner_population_gap(p: CycleParams) -> float:
 
     Equals 1 - 1/Z_a - 1/Z_b; strictly inside [0, 1) for valid parameters.
     """
-    pops = initial_populations(p)
-    return float(pops[3] - pops[0])
+    return float(corner_gap(initial_populations(p)))
 
 
 def center_population_gap(p: CycleParams) -> float:
@@ -198,5 +282,4 @@ def center_population_gap(p: CycleParams) -> float:
     Sign follows beta_a*eps_a - beta_b*eps_b; it changes sign across the
     gap-ratio axis and drives the regime changes of the machine.
     """
-    pops = initial_populations(p)
-    return float(pops[2] - pops[1])
+    return float(center_gap(initial_populations(p)))

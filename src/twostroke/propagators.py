@@ -17,17 +17,36 @@ production use.
 """
 
 import enum
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .linalg import as_cmat, dagger, expm_unitary, is_density, is_unitary
-from .model import CycleParams, free_hamiltonian, interaction_hamiltonian
+from .linalg import (
+    NOT_HERMITIAN,
+    Column,
+    RowErrors,
+    as_cmat,
+    dagger,
+    density_mask,
+    expm_stack,
+    hermitian_mask,
+    checked,
+    unitary_mask,
+)
+from .model import (
+    CycleArrays,
+    CycleParams,
+    diagonal_states,
+    flag_degenerate,
+    free_generators,
+    interaction_generators,
+)
 
 CORRECTED = "corrected"
 VERBATIM = "verbatim"
 _VARIANTS = (CORRECTED, VERBATIM)
+
+EVOLVE_UNITARY_TOL = 1e-10
 
 
 class PropagatorMode(enum.Enum):
@@ -47,23 +66,24 @@ class BlockParams:
     free Hamiltonian; gamma2 is the |ge>/|eg> center-block frequency.  The
     theta/phi/lambda entries are the corresponding diagonal block amplitudes
     and mu0/mu1/mu2 the off-diagonal ones (zero-frequency limits give mu = 0).
+    The batch kernels fill every numeric field with an array of shape (N,).
     """
 
     variant: str
-    gamma0: float
-    gamma1: float
-    gamma2: float
-    delta_eps: float
-    eps_p: float
-    mu0: complex
-    mu1: complex
-    mu2: complex
-    theta_plus: complex
-    theta_minus: complex
-    phi_plus: complex
-    phi_minus: complex
-    lambda_plus: complex
-    lambda_minus: complex
+    gamma0: Column
+    gamma1: Column
+    gamma2: Column
+    delta_eps: Column
+    eps_p: Column
+    mu0: Column
+    mu1: Column
+    mu2: Column
+    theta_plus: Column
+    theta_minus: Column
+    phi_plus: Column
+    phi_minus: Column
+    lambda_plus: Column
+    lambda_minus: Column
 
 
 def _check_variant(variant: str) -> None:
@@ -71,44 +91,47 @@ def _check_variant(variant: str) -> None:
         raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
 
 
-def _check_nondegenerate(p: CycleParams) -> None:
-    if p.kappa == 0.0 and p.omega == 0.0:
-        raise ValueError("kappa and omega cannot both vanish (degenerate cycle)")
+def _over(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num/den, and 0 where den vanishes."""
+    zero = den == 0.0
+    return np.where(zero, 0.0, num / np.where(zero, 1.0, den))
 
 
-def _half_sine_over(gamma: float, tau: float) -> float:
+def _half_sine_over(gamma: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """sin(gamma*tau/2)/gamma, continuous at gamma = 0."""
-    if gamma == 0.0:
-        return 0.5 * tau
-    return math.sin(0.5 * gamma * tau) / gamma
+    return np.where(gamma == 0.0, 0.5 * tau, _over(np.sin(0.5 * gamma * tau), gamma))
 
 
-def block_params(p: CycleParams, variant: str = CORRECTED) -> BlockParams:
-    """Compute every scalar entering the closed-form assemblies."""
-    _check_variant(variant)
-    _check_nondegenerate(p)
-    kappa, omega, tau = p.kappa, p.omega, p.tau
-    eps_p, delta_eps = p.eps_p, p.delta_eps
+def _unit(x: np.ndarray) -> np.ndarray:
+    """cos(x) + i sin(x)."""
+    return np.cos(x) + 1j * np.sin(x)
+
+
+def _blocks(c: CycleArrays, variant: str, errors: RowErrors) -> BlockParams:
+    """Every scalar entering the closed-form assemblies, one array per field."""
+    flag_degenerate(c.kappa, c.omega, errors)
+    kappa, omega, tau = c.kappa, c.omega, c.tau
+    eps_p, delta_eps = c.eps_p, c.delta_eps
 
     if variant == CORRECTED:
-        gamma0 = math.hypot(kappa, 2.0 * omega)
-        gamma1 = math.hypot(kappa, 2.0 * omega + eps_p)
+        gamma0 = np.hypot(kappa, 2.0 * omega)
+        gamma1 = np.hypot(kappa, 2.0 * omega + eps_p)
         z0 = 2.0 * omega
         z1 = 2.0 * omega + eps_p
     else:
-        gamma0 = math.hypot(kappa, omega)
-        gamma1 = math.hypot(kappa, omega - 0.5 * eps_p)
+        gamma0 = np.hypot(kappa, omega)
+        gamma1 = np.hypot(kappa, omega - 0.5 * eps_p)
         z0 = omega
         z1 = None  # verbatim keeps the published split theta +/- eps_p term
-    gamma2 = math.hypot(kappa, delta_eps)
+    gamma2 = np.hypot(kappa, delta_eps)
 
-    c0 = math.cos(0.5 * gamma0 * tau)
+    c0 = np.cos(0.5 * gamma0 * tau)
     f0 = _half_sine_over(gamma0, tau)
-    c1 = math.cos(0.5 * gamma1 * tau)
+    c1 = np.cos(0.5 * gamma1 * tau)
     f1 = _half_sine_over(gamma1, tau)
-    c2 = math.cos(0.5 * gamma2 * tau)
+    c2 = np.cos(0.5 * gamma2 * tau)
     f2 = _half_sine_over(gamma2, tau)
-    phase = complex(math.cos(0.5 * eps_p * tau), math.sin(0.5 * eps_p * tau))
+    phase = _unit(0.5 * eps_p * tau)
 
     theta_plus = c0 - 1j * z0 * f0
     theta_minus = c0 + 1j * z0 * f0
@@ -121,10 +144,6 @@ def block_params(p: CycleParams, variant: str = CORRECTED) -> BlockParams:
     lambda_plus = phase * (c2 - 1j * delta_eps * f2)
     lambda_minus = phase * (c2 + 1j * delta_eps * f2)
 
-    mu0 = -1j * kappa / gamma0
-    mu1 = -1j * kappa * phase / gamma1 if gamma1 > 0.0 else 0.0j
-    mu2 = kappa * phase / gamma2 if gamma2 > 0.0 else 0.0j
-
     return BlockParams(
         variant=variant,
         gamma0=gamma0,
@@ -132,9 +151,9 @@ def block_params(p: CycleParams, variant: str = CORRECTED) -> BlockParams:
         gamma2=gamma2,
         delta_eps=delta_eps,
         eps_p=eps_p,
-        mu0=mu0,
-        mu1=mu1,
-        mu2=mu2,
+        mu0=_over(-1j * kappa, gamma0),
+        mu1=_over(-1j * kappa * phase, gamma1),
+        mu2=_over(kappa * phase, gamma2),
         theta_plus=theta_plus,
         theta_minus=theta_minus,
         phi_plus=phi_plus,
@@ -144,82 +163,124 @@ def block_params(p: CycleParams, variant: str = CORRECTED) -> BlockParams:
     )
 
 
+def block_params(p: CycleParams, variant: str = CORRECTED) -> BlockParams:
+    """Compute every scalar entering the closed-form assemblies."""
+    _check_variant(variant)
+    bp = checked(_blocks, CycleArrays([p]), variant)
+    return BlockParams(
+        variant=variant,
+        **{f.name: getattr(bp, f.name)[0].item() for f in fields(BlockParams)[1:]},
+    )
+
+
+def _checkerboard(corner, center, d0, d1, d2, d3, global_phase) -> np.ndarray:
+    """Stack of unitaries with the |gg>/|ee> and |ge>/|eg> block structure."""
+    u = np.zeros((len(d0), 4, 4), dtype=complex)
+    u[:, 0, 0], u[:, 1, 1], u[:, 2, 2], u[:, 3, 3] = d0, d1, d2, d3
+    u[:, 0, 3] = u[:, 3, 0] = corner
+    u[:, 1, 2] = u[:, 2, 1] = center
+    return global_phase[:, None, None] * u
+
+
+def _closed(c: CycleArrays, include_free: bool, variant: str, errors: RowErrors) -> np.ndarray:
+    """Closed-form unitaries of the interaction or the full generator, (N, 4, 4)."""
+    bp = _blocks(c, variant, errors)
+    kappa, tau = c.kappa, c.tau
+    cc = np.cos(0.5 * kappa * tau)
+    sc = np.sin(0.5 * kappa * tau)
+    global_phase = cc - 1j * sc
+    if not include_free:
+        corner_off = -1j * kappa * _half_sine_over(bp.gamma0, tau)
+        return _checkerboard(
+            corner_off, -1j * sc, bp.theta_plus, cc, cc, bp.theta_minus, global_phase
+        )
+    phase = _unit(0.5 * bp.eps_p * tau)
+    corner_off = -1j * kappa * phase * _half_sine_over(bp.gamma1, tau)
+    center_off = -1j * kappa * phase * _half_sine_over(bp.gamma2, tau)
+    return _checkerboard(
+        corner_off, center_off, bp.phi_plus, bp.lambda_plus, bp.lambda_minus, bp.phi_minus,
+        global_phase,
+    )
+
+
+def _oracle(c: CycleArrays, include_free: bool, errors: RowErrors) -> np.ndarray:
+    """Matrix exponentials of the exact generators, one stacked eigh."""
+    h = interaction_generators(c.kappa, c.omega, errors)
+    if include_free:
+        h = h + free_generators(c)
+    ok = hermitian_mask(h)
+    errors.flag(~ok, lambda i: ValueError(NOT_HERMITIAN))
+    return expm_stack(np.where(ok[:, None, None], h, 0.0), c.tau)
+
+
+def unitaries(c: CycleArrays, mode: PropagatorMode, errors: RowErrors) -> np.ndarray:
+    """Stroke unitaries of every row in the requested mode, shape (N, 4, 4)."""
+    if mode is PropagatorMode.FULL:
+        return _closed(c, True, CORRECTED, errors)
+    if mode is PropagatorMode.INTERACTION_ONLY:
+        return _closed(c, False, CORRECTED, errors)
+    if mode is PropagatorMode.ORACLE_FULL:
+        return _oracle(c, True, errors)
+    if mode is PropagatorMode.ORACLE_INTERACTION:
+        return _oracle(c, False, errors)
+    raise ValueError(f"unknown propagator mode {mode!r}")
+
+
+def _one(kernel, p: CycleParams, *args) -> np.ndarray:
+    """A unitary kernel run on the single row `p`; raises that row's failure."""
+    return checked(kernel, CycleArrays([p]), *args)[0]
+
+
 def propagator_interaction_closed(p: CycleParams, variant: str = CORRECTED) -> np.ndarray:
     """Closed-form unitary for the interaction generator alone."""
     _check_variant(variant)
-    _check_nondegenerate(p)
-    bp = block_params(p, variant)
-    kappa, tau = p.kappa, p.tau
-    corner_off = -1j * kappa * _half_sine_over(bp.gamma0, tau)
-    cc = math.cos(0.5 * kappa * tau)
-    sc = math.sin(0.5 * kappa * tau)
-    u = np.array(
-        [
-            [bp.theta_plus, 0.0, 0.0, corner_off],
-            [0.0, cc, -1j * sc, 0.0],
-            [0.0, -1j * sc, cc, 0.0],
-            [corner_off, 0.0, 0.0, bp.theta_minus],
-        ],
-        dtype=complex,
-    )
-    global_phase = complex(math.cos(0.5 * kappa * tau), -math.sin(0.5 * kappa * tau))
-    return global_phase * u
+    return _one(_closed, p, False, variant)
 
 
 def propagator_full_closed(p: CycleParams, variant: str = CORRECTED) -> np.ndarray:
     """Closed-form unitary for the full generator (free part included)."""
     _check_variant(variant)
-    _check_nondegenerate(p)
-    bp = block_params(p, variant)
-    kappa, tau = p.kappa, p.tau
-    phase = complex(math.cos(0.5 * bp.eps_p * tau), math.sin(0.5 * bp.eps_p * tau))
-    corner_off = -1j * kappa * phase * _half_sine_over(bp.gamma1, tau)
-    center_off = -1j * kappa * phase * _half_sine_over(bp.gamma2, tau)
-    u = np.array(
-        [
-            [bp.phi_plus, 0.0, 0.0, corner_off],
-            [0.0, bp.lambda_plus, center_off, 0.0],
-            [0.0, center_off, bp.lambda_minus, 0.0],
-            [corner_off, 0.0, 0.0, bp.phi_minus],
-        ],
-        dtype=complex,
-    )
-    global_phase = complex(math.cos(0.5 * kappa * tau), -math.sin(0.5 * kappa * tau))
-    return global_phase * u
+    return _one(_closed, p, True, variant)
 
 
 def propagator_oracle(p: CycleParams, include_free: bool) -> np.ndarray:
     """Ground-truth unitary: matrix exponential of the exact generator."""
-    h = interaction_hamiltonian(p.kappa, p.omega)
-    if include_free:
-        h = h + free_hamiltonian(p)
-    return expm_unitary(h, p.tau)
+    return _one(_oracle, p, include_free)
 
 
 def propagator(p: CycleParams, mode: PropagatorMode) -> np.ndarray:
     """Dispatch to the requested construction (closed forms are corrected)."""
-    if mode is PropagatorMode.FULL:
-        return propagator_full_closed(p)
-    if mode is PropagatorMode.INTERACTION_ONLY:
-        return propagator_interaction_closed(p)
-    if mode is PropagatorMode.ORACLE_FULL:
-        return propagator_oracle(p, include_free=True)
-    if mode is PropagatorMode.ORACLE_INTERACTION:
-        return propagator_oracle(p, include_free=False)
-    raise ValueError(f"unknown propagator mode {mode!r}")
+    return _one(unitaries, p, mode)
 
 
-def evolve(rho0, u, unitary_tol: float = 1e-10) -> np.ndarray:
+def evolve_stack(
+    rho0: np.ndarray, u: np.ndarray, unitary_tol: float, errors: RowErrors
+) -> np.ndarray:
+    """U rho U† row by row, failing rows whose state or unitary is unphysical."""
+    errors.flag(
+        ~density_mask(rho0), lambda i: ValueError("rho0 is not a density matrix within tolerance")
+    )
+    errors.flag(
+        ~unitary_mask(u, unitary_tol), lambda i: ValueError("u is not unitary within tolerance")
+    )
+    return u @ rho0 @ dagger(u)
+
+
+def evolved_states(
+    c: CycleArrays, pops: np.ndarray, mode: PropagatorMode, errors: RowErrors
+) -> np.ndarray:
+    """Each row's initial product state (populations `pops`) after its stroke."""
+    u = unitaries(c, mode, errors)
+    return evolve_stack(diagonal_states(pops), u, EVOLVE_UNITARY_TOL, errors)
+
+
+def evolve(rho0, u, unitary_tol: float = EVOLVE_UNITARY_TOL) -> np.ndarray:
     """Conjugate a density matrix by a unitary: U rho U†."""
     rho0 = as_cmat(rho0)
     u = as_cmat(u)
     if rho0.shape != u.shape:
         raise ValueError("state and unitary dimensions differ")
-    if not is_density(rho0):
-        raise ValueError("rho0 is not a density matrix within tolerance")
-    if not is_unitary(u, unitary_tol):
-        raise ValueError("u is not unitary within tolerance")
-    return u @ rho0 @ dagger(u)
+    return checked(evolve_stack, rho0[None], u[None], unitary_tol)[0]
 
 
 def align_global_phase(u: np.ndarray, reference: np.ndarray) -> np.ndarray:

@@ -4,6 +4,9 @@ The squeezing parameter is the minimized transverse spin variance scaled by
 the coherent-state limit N/4; values below 1 certify squeezing.  States from
 this package's cycle keep their mean spin along z, so the transverse plane is
 always the x-y plane and the minimization over the quadrature angle is exact.
+
+Every expectation value is summed over the operator's nonzero entries in a
+fixed order, so a state's diagnostics do not depend on the batch it sits in.
 """
 
 import math
@@ -11,21 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_cmat, is_density
-from .model import CycleParams, collective_ops, corner_population_gap
-from .propagators import CORRECTED, VERBATIM, _check_variant
+from .linalg import RowErrors, as_cmat, density_mask, checked
+from .model import SX, SY, SZ, CycleArrays, CycleParams, corner_gap, populations
+from .propagators import CORRECTED, _check_variant
 
 N_SPINS = 2
 MSD_TOL = 1e-8
 MEAN_SPIN_MIN = 1e-10
 
-_OPS = collective_ops()
-_SX = _OPS.sx
-_SY = _OPS.sy
-_SZ = _OPS.sz
-_SUM_XY = _SX @ _SX + _SY @ _SY     # S_x^2 + S_y^2
-_DIFF_XY = _SX @ _SX - _SY @ _SY    # S_x^2 - S_y^2
-_CROSS_XY = _SX @ _SY + _SY @ _SX   # {S_x, S_y}
+_SUM_XY = SX @ SX + SY @ SY     # S_x^2 + S_y^2
+_DIFF_XY = SX @ SX - SY @ SY    # S_x^2 - S_y^2
+_CROSS_XY = SX @ SY + SY @ SX   # {S_x, S_y}
 
 
 @dataclass(frozen=True)
@@ -46,62 +45,101 @@ class SqueezeReport:
     msd_ok: bool
 
 
-def _expect(op: np.ndarray, rho: np.ndarray) -> float:
-    return float(np.trace(op @ rho).real)
+def _expect(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """tr(op @ rho).real for each state of a stack."""
+    total = 0.0
+    for i, j in zip(*np.nonzero(op)):
+        total = total + op[i, j] * rho[:, j, i]
+    return total.real
 
 
-def _require_msd_state(rho) -> np.ndarray:
+def flag_states(rho: np.ndarray, errors: RowErrors) -> None:
+    """Fail the states that are unphysical or whose mean spin is not along z."""
+    errors.flag(
+        ~density_mask(rho), lambda i: ValueError("rho is not a density matrix within tolerance")
+    )
+    sx_mean, sy_mean, sz_mean = (_expect(op, rho) for op in (SX, SY, SZ))
+    errors.flag(
+        np.abs(sx_mean) >= MSD_TOL,
+        lambda i: ValueError(f"mean spin is not along z: <S_x> = {float(sx_mean[i])!r}"),
+    )
+    errors.flag(
+        np.abs(sy_mean) >= MSD_TOL,
+        lambda i: ValueError(f"mean spin is not along z: <S_y> = {float(sy_mean[i])!r}"),
+    )
+    errors.flag(
+        np.abs(sz_mean) <= MEAN_SPIN_MIN,
+        lambda i: ValueError("mean spin direction undefined: <S_z> vanishes"),
+    )
+
+
+def _msd_state(rho) -> np.ndarray:
+    """One state as a stack of one, after the checks of `flag_states`."""
     rho = as_cmat(rho)
     if rho.shape[0] != 4:
         raise ValueError("expected a two-qubit (4x4) state")
-    if not is_density(rho):
-        raise ValueError("rho is not a density matrix within tolerance")
-    sx_mean = _expect(_SX, rho)
-    sy_mean = _expect(_SY, rho)
-    if abs(sx_mean) >= MSD_TOL:
-        raise ValueError(f"mean spin is not along z: <S_x> = {sx_mean!r}")
-    if abs(sy_mean) >= MSD_TOL:
-        raise ValueError(f"mean spin is not along z: <S_y> = {sy_mean!r}")
-    if abs(_expect(_SZ, rho)) <= MEAN_SPIN_MIN:
-        raise ValueError("mean spin direction undefined: <S_z> vanishes")
-    return rho
+    checked(flag_states, rho[None])
+    return rho[None]
 
 
-def xi_general(rho) -> SqueezeReport:
-    """Squeezing report of a state whose mean spin points along z.
+def _second_moments(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return _expect(_SUM_XY, rho), _expect(_DIFF_XY, rho), _expect(_CROSS_XY, rho)
+
+
+def squeezing_stack(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(xi, phi_opt, delta_min) of each state of a stack already checked by `flag_states`.
 
     The transverse variance is an exact sinusoid in twice the quadrature
     angle, so the minimum and the optimal angle come out in closed form from
     three second moments.
     """
-    rho = _require_msd_state(rho)
-    sum_xy = _expect(_SUM_XY, rho)
-    diff_xy = _expect(_DIFF_XY, rho)
-    cross_xy = _expect(_CROSS_XY, rho)
-
+    sum_xy, diff_xy, cross_xy = _second_moments(rho)
     alpha1 = 2.0 * sum_xy / N_SPINS
     alpha2 = (2.0 * diff_xy / N_SPINS) ** 2
     alpha3 = (2.0 * cross_xy / N_SPINS) ** 2
-    xi = alpha1 - math.sqrt(alpha2 + alpha3)
+    xi = alpha1 - np.sqrt(alpha2 + alpha3)
 
-    delta_min = 0.5 * (sum_xy - math.hypot(diff_xy, cross_xy))
-    phi_opt = (0.5 * math.pi + 0.5 * math.atan2(cross_xy, diff_xy)) % math.pi
+    delta_min = 0.5 * (sum_xy - np.hypot(diff_xy, cross_xy))
+    phi_opt = (0.5 * math.pi + 0.5 * np.arctan2(cross_xy, diff_xy)) % math.pi
+    return xi, phi_opt, delta_min
+
+
+def coherence_stack(rho: np.ndarray) -> np.ndarray:
+    """Sum of absolute off-diagonal entries of each state of a stack."""
+    mags = np.abs(rho)
+    total = 0.0
+    for i in range(4):
+        for j in range(4):
+            if i != j:
+                total = total + mags[:, i, j]
+    return total
+
+
+def xi_general(rho) -> SqueezeReport:
+    """Squeezing report of a state whose mean spin points along z."""
+    stack = _msd_state(rho)
+    xi, phi_opt, delta_min = squeezing_stack(stack)
     return SqueezeReport(
-        xi=xi,
-        phi_opt=phi_opt,
-        delta_min=delta_min,
-        coherence_l1=l1_coherence(rho),
+        xi=float(xi[0]),
+        phi_opt=float(phi_opt[0]),
+        delta_min=float(delta_min[0]),
+        coherence_l1=float(coherence_stack(stack)[0]),
         msd_ok=True,
     )
 
 
 def variance_orthogonal(rho, phi: float) -> float:
     """Variance of the spin component at angle `phi` in the transverse plane."""
-    rho = _require_msd_state(rho)
-    sum_xy = _expect(_SUM_XY, rho)
-    diff_xy = _expect(_DIFF_XY, rho)
-    cross_xy = _expect(_CROSS_XY, rho)
+    sum_xy, diff_xy, cross_xy = (float(m[0]) for m in _second_moments(_msd_state(rho)))
     return 0.5 * sum_xy + 0.5 * diff_xy * math.cos(2.0 * phi) + 0.5 * cross_xy * math.sin(2.0 * phi)
+
+
+def _eta_sq(c: CycleArrays, variant: str) -> np.ndarray:
+    if variant == CORRECTED:
+        g = np.hypot(c.kappa, 2.0 * c.omega)
+    else:
+        g = np.hypot(c.kappa, c.omega - 0.5 * c.eps_p)
+    return np.sqrt(16.0 * c.omega**2 + 2.0 * c.kappa**2 * (1.0 + np.cos(g * c.tau)))
 
 
 def eta_sq(p: CycleParams, variant: str = CORRECTED) -> float:
@@ -110,13 +148,21 @@ def eta_sq(p: CycleParams, variant: str = CORRECTED) -> float:
     Named eta_sq to stay clear of the engine efficiency eta.
     """
     _check_variant(variant)
+    return float(_eta_sq(CycleArrays([p]), variant)[0])
+
+
+def xi_closed_stack(c: CycleArrays, pops: np.ndarray, variant: str = CORRECTED) -> np.ndarray:
+    """Closed-form squeezing parameter of each row's interaction-only evolved state."""
+    twist = c.kappa != 0.0
     if variant == CORRECTED:
-        g = math.hypot(p.kappa, 2.0 * p.omega)
+        g_corner = np.hypot(c.kappa, 2.0 * c.omega)
     else:
-        g = math.hypot(p.kappa, p.omega - 0.5 * p.eps_p)
-    return math.sqrt(
-        16.0 * p.omega**2 + 2.0 * p.kappa**2 * (1.0 + math.cos(g * p.tau))
-    )
+        g_corner = np.hypot(c.kappa, c.omega)
+    g_corner = np.where(twist, g_corner, 1.0)
+    amplitude = _eta_sq(c, variant)
+    zbar = corner_gap(pops)
+    xi = 1.0 - c.kappa * zbar * amplitude * np.abs(np.sin(0.5 * g_corner * c.tau)) / g_corner**2
+    return np.where(twist, xi, 1.0)
 
 
 def xi_closed_form(p: CycleParams, variant: str = CORRECTED) -> float:
@@ -128,15 +174,8 @@ def xi_closed_form(p: CycleParams, variant: str = CORRECTED) -> float:
     variant keeps the published constants for residual reporting.
     """
     _check_variant(variant)
-    if p.kappa == 0.0:
-        return 1.0
-    if variant == CORRECTED:
-        g_corner = math.hypot(p.kappa, 2.0 * p.omega)
-    else:
-        g_corner = math.hypot(p.kappa, p.omega)
-    zbar = corner_population_gap(p)
-    amplitude = eta_sq(p, variant)
-    return 1.0 - p.kappa * zbar * amplitude * abs(math.sin(0.5 * g_corner * p.tau)) / g_corner**2
+    c = CycleArrays([p])
+    return float(xi_closed_stack(c, populations(c), variant)[0])
 
 
 def l1_coherence(rho) -> float:
@@ -147,8 +186,6 @@ def l1_coherence(rho) -> float:
     eps_a = eps_b makes the eigenbasis degenerate.
     """
     rho = as_cmat(rho)
-    if not is_density(rho):
+    if not density_mask(rho):
         raise ValueError("rho is not a density matrix within tolerance")
-    mags = np.abs(rho)
-    np.fill_diagonal(mags, 0.0)
-    return float(mags.sum())
+    return float(coherence_stack(rho[None])[0])

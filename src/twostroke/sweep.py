@@ -1,7 +1,10 @@
 """Parameter sweeps over one cycle control, with multi-route evaluation.
 
-Each grid point is independent, so sweeps can fan out to a process pool; the
-output is assembled in grid order and is byte-identical for any pool width.
+Each grid point is independent, so a sweep is evaluated array-at-a-time: the
+kernels run once per grid, or once per contiguous chunk of it on a process
+pool.  Every formula is elementwise and every reduction runs in a fixed order,
+so a row's numbers do not depend on the chunk it lands in and the output is
+byte-identical for any pool width.
 """
 
 import math
@@ -11,13 +14,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import CycleParams, initial_state
-from .propagators import PropagatorMode, evolve, propagator
-from .squeezing import xi_closed_form, xi_general
-from .thermo import EnergyBook, Regime, energetics_cf, energetics_closed, energetics_from_states
+from .linalg import RowErrors
+from .model import CycleArrays, CycleParams, populations
+from .propagators import PropagatorMode, evolved_states
+from .squeezing import coherence_stack, flag_states, squeezing_stack, xi_closed_stack
+from .thermo import CF_STEP, EnergyBook, Regime, cf_book, closed_book, trace_book
 
 SWEEP_VARIABLES = ("tau", "kappa", "omega", "eps_ratio")
 ROUTES = ("trace", "closed", "cf")
+# Routes whose formulas assume the interaction-only evolution.
+INTERACTION_ROUTES = ("closed", "cf")
+FULL_MODES = (PropagatorMode.FULL, PropagatorMode.ORACLE_FULL)
 
 CSV_COLUMNS = (
     "swept_value",
@@ -74,6 +81,12 @@ class SweepSpec:
         for route in self.routes:
             if route not in ROUTES:
                 raise ValueError(f"unknown route {route!r}, valid routes: {ROUTES}")
+        mismatched = [route for route in self.routes if route in INTERACTION_ROUTES]
+        if self.mode in FULL_MODES and mismatched:
+            raise ValueError(
+                f"routes {', '.join(mismatched)} evaluate the interaction-only evolution; "
+                f"mode {self.mode.value!r} supports only the trace route"
+            )
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.points)
@@ -106,93 +119,123 @@ def apply_variable(base: CycleParams, variable: str, value: float) -> CycleParam
     return replace(base, **{variable: value})
 
 
-def _book_residual(primary: EnergyBook, other: EnergyBook) -> float:
-    return max(
-        abs(primary.w - other.w),
-        abs(primary.q_hot - other.q_hot),
-        abs(primary.q_cold - other.q_cold),
-        abs(primary.sigma - other.sigma),
-    )
+def _book_residual(primary: EnergyBook, other: EnergyBook) -> np.ndarray:
+    return np.maximum.reduce([
+        np.abs(primary.w - other.w),
+        np.abs(primary.q_hot - other.q_hot),
+        np.abs(primary.q_cold - other.q_cold),
+        np.abs(primary.sigma - other.sigma),
+    ])
 
 
-def evaluate_point(spec: SweepSpec, value: float) -> SweepRow:
-    """Evaluate one grid point with every requested route.
+def evaluate(
+    values: Sequence[float],
+    params: Sequence[CycleParams],
+    mode: PropagatorMode,
+    routes: Sequence[str],
+) -> list[SweepRow]:
+    """Evaluate the cycles `params` (swept values `values`) as one batch.
 
-    Failures never abort a sweep: the exception text is attached to the row
-    and the remaining points keep running.
+    A failing row carries the error text the one-cycle public functions raise
+    for it; the other rows are unaffected.  A row whose arithmetic overflows
+    fails too, so no non-finite number reaches the output.  The closed and cf
+    routes read the cycle parameters and populations only, never the trace
+    route's unitary or evolved state, so their residuals stay an independent
+    cross-check.
     """
-    try:
-        params = apply_variable(spec.base, spec.variable, float(value))
-    except Exception as exc:  # noqa: BLE001 - reported per row
-        return SweepRow(swept_value=float(value), params=spec.base, error=str(exc))
-    try:
-        u = propagator(params, spec.mode)
-        rho0 = initial_state(params)
-        rho_tau = evolve(rho0, u)
+    if not params:
+        return []
+    c = CycleArrays(params)
+    errors = RowErrors()
+    # overflowing rows fail below instead of warning once per array operation
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        pops = populations(c)
+        rho_tau = evolved_states(c, pops, mode, errors)
 
         books: dict[str, EnergyBook] = {}
-        if "trace" in spec.routes:
-            books["trace"] = energetics_from_states(
-                params, rho0, rho_tau, method=f"trace:{spec.mode.value}"
-            )
-        if "closed" in spec.routes:
-            books["closed"] = energetics_closed(params)
-        if "cf" in spec.routes:
-            books["cf"] = energetics_cf(params)
+        if "trace" in routes:
+            books["trace"] = trace_book(c, pops, rho_tau, f"trace:{mode.value}", errors)
+        if "closed" in routes:
+            books["closed"] = closed_book(c, pops, errors)
+        if "cf" in routes:
+            books["cf"] = cf_book(c, pops, CF_STEP, errors)
+        flag_states(rho_tau, errors)
 
         primary = books.get("trace") or books.get("closed") or books["cf"]
-        resid_closed = (
-            _book_residual(books["trace"], books["closed"])
-            if "trace" in books and "closed" in books
-            else None
-        )
-        resid_cf = (
-            _book_residual(books["trace"], books["cf"])
-            if "trace" in books and "cf" in books
-            else None
-        )
+        numeric = {
+            "W": primary.w,
+            "Q_H": primary.q_hot,
+            "Q_C": primary.q_cold,
+            "Sigma": primary.sigma,
+            "power": primary.power,
+            "xi_general": squeezing_stack(rho_tau)[0],
+            "xi_closed": xi_closed_stack(c, pops),
+            "coherence_l1": coherence_stack(rho_tau),
+        }
+        for route in ("closed", "cf"):
+            if "trace" in books and route in books:
+                numeric[f"resid_{route}"] = _book_residual(books["trace"], books[route])
+    for name, column in numeric.items():
+        errors.flag(~np.isfinite(column), lambda i: ArithmeticError(f"{name} is not finite"))
 
-        report = xi_general(rho_tau)
-        return SweepRow(
-            swept_value=float(value),
-            params=params,
-            w=primary.w,
-            q_hot=primary.q_hot,
-            q_cold=primary.q_cold,
-            sigma=primary.sigma,
-            eta=primary.eta,
-            power=primary.power,
-            xi_general=report.xi,
-            xi_closed=xi_closed_form(params),
-            coherence_l1=report.coherence_l1,
-            regime=primary.regime.value,
-            resid_closed=resid_closed,
-            resid_cf=resid_cf,
-        )
-    except Exception as exc:  # noqa: BLE001 - reported per row
-        return SweepRow(swept_value=float(value), params=params, error=str(exc))
+    missing = [None] * len(params)
+    columns = zip(
+        *(numeric[name].tolist() for name in ("W", "Q_H", "Q_C", "Sigma")),
+        [eta if regime is Regime.ENGINE else None
+         for eta, regime in zip(primary.eta.tolist(), primary.regime)],
+        *(numeric[name].tolist() for name in ("power", "xi_general", "xi_closed", "coherence_l1")),
+        [regime.value for regime in primary.regime],
+        *(numeric[name].tolist() if name in numeric else missing
+          for name in ("resid_closed", "resid_cf")),
+    )
+    failures = [errors.first.get(i) for i in range(len(params))]
+    return [
+        SweepRow(value, p, *cells) if error is None
+        else SweepRow(swept_value=value, params=p, error=str(error))
+        for value, p, cells, error in zip(values, params, columns, failures)
+    ]
 
 
-def _evaluate_star(args: tuple[SweepSpec, float]) -> SweepRow:
-    return evaluate_point(*args)
+def evaluate_grid(spec: SweepSpec, values: np.ndarray) -> list[SweepRow]:
+    """Evaluate grid values of `spec` in one batch, in grid order.
+
+    Values that make an invalid cycle fail their own row with the parameter
+    error; the rest are evaluated together.
+    """
+    rows: list[Optional[SweepRow]] = []
+    slots, good_values, good_params = [], [], []
+    for value in values.tolist():
+        try:
+            params = apply_variable(spec.base, spec.variable, value)
+        except ValueError as exc:
+            rows.append(SweepRow(swept_value=value, params=spec.base, error=str(exc)))
+            continue
+        slots.append(len(rows))
+        rows.append(None)
+        good_values.append(value)
+        good_params.append(params)
+    for slot, row in zip(slots, evaluate(good_values, good_params, spec.mode, spec.routes)):
+        rows[slot] = row
+    return rows
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
     """Evaluate the whole grid, in grid order, optionally on a process pool.
 
     Results do not depend on `workers`; a width of 1 avoids the pool
-    entirely.  When `spec.output_path` is set the CSV is written as well.
+    entirely, and a wider pool evaluates one contiguous chunk per worker.
+    When `spec.output_path` is set the CSV is written as well.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers!r}")
     values = spec.grid()
     if workers == 1:
-        rows = [evaluate_point(spec, v) for v in values]
+        rows = evaluate_grid(spec, values)
     else:
-        args = [(spec, float(v)) for v in values]
-        chunk = max(1, len(args) // (workers * 4))
+        chunks = np.array_split(values, workers)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_evaluate_star, args, chunksize=chunk))
+            parts = pool.map(evaluate_grid, [spec] * len(chunks), chunks)
+            rows = [row for part in parts for row in part]
     if spec.output_path is not None:
         write_csv(rows, spec.output_path)
     return rows

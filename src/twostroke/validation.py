@@ -14,27 +14,22 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import CycleParams, collective_ops, initial_state
+from .linalg import checked
+from .model import CycleArrays, CycleParams, collective_ops, populations
 from .presets import PRESET_NAMES, figure_preset
-from .propagators import (
-    PropagatorMode,
-    align_global_phase,
-    evolve,
-    propagator,
-    propagator_full_closed,
-    propagator_interaction_closed,
-    propagator_oracle,
-)
-from .squeezing import xi_closed_form, xi_general
+from .propagators import PropagatorMode, align_global_phase, evolved_states, unitaries
+from .squeezing import flag_states, squeezing_stack, xi_closed_form, xi_closed_stack, xi_general
 from .sweep import SweepSpec, run_sweep, rows_to_csv
 from .thermo import (
+    CF_STEP,
     Regime,
     carnot_efficiency,
+    cf_book,
     characteristic_function,
-    energetics_cf,
-    energetics_closed,
+    closed_book,
     energetics_trace,
     otto_efficiency,
+    trace_route,
 )
 
 PROPAGATOR_TOL = 1e-10
@@ -48,6 +43,8 @@ ROTATION_TOL = 1e-10
 CARNOT_SLACK = 1e-9
 CF_UNIT_TOL = 1e-12
 CF_FORM_TOL = 1e-10
+
+BOTH_MODES = (PropagatorMode.INTERACTION_ONLY, PropagatorMode.FULL)
 
 _GRID_CACHE: tuple[CycleParams, ...] | None = None
 
@@ -106,15 +103,21 @@ def check_propagator_equivalence() -> CheckResult:
     """Closed-form unitaries match the matrix-exponential oracle on the grid."""
     start = time.perf_counter()
     grid = reference_grid()
-    worst_int = 0.0
-    worst_full = 0.0
-    for p in grid:
-        oracle_int = propagator_oracle(p, include_free=False)
-        oracle_full = propagator_oracle(p, include_free=True)
-        u_int = propagator_interaction_closed(p)
-        u_full = align_global_phase(propagator_full_closed(p), oracle_full)
-        worst_int = max(worst_int, float(np.max(np.abs(u_int - oracle_int))))
-        worst_full = max(worst_full, float(np.max(np.abs(u_full - oracle_full))))
+    c = CycleArrays(grid)
+    oracle_int, oracle_full, u_int, u_full = (
+        checked(unitaries, c, mode)
+        for mode in (
+            PropagatorMode.ORACLE_INTERACTION,
+            PropagatorMode.ORACLE_FULL,
+            PropagatorMode.INTERACTION_ONLY,
+            PropagatorMode.FULL,
+        )
+    )
+    worst_int = float(np.max(np.abs(u_int - oracle_int)))
+    worst_full = max(
+        float(np.max(np.abs(align_global_phase(u, ref) - ref)))
+        for u, ref in zip(u_full, oracle_full)
+    )
     elapsed = time.perf_counter() - start
     passed = worst_int < PROPAGATOR_TOL and worst_full < PROPAGATOR_TOL and elapsed < 5.0
     detail = (
@@ -129,16 +132,18 @@ def check_route_equivalence() -> CheckResult:
     """Trace, closed-form, and characteristic-function energetics agree."""
     start = time.perf_counter()
     grid = reference_grid()
+    c = CycleArrays(grid)
+    pops = populations(c)
+    trace = checked(trace_route, c, pops, PropagatorMode.INTERACTION_ONLY)
+    closed = checked(closed_book, c, pops)
+    cf = checked(cf_book, c, pops, CF_STEP)
     worst_closed = 0.0
     worst_cf = 0.0
-    for p in grid:
-        trace = energetics_trace(p, PropagatorMode.INTERACTION_ONLY)
-        closed = energetics_closed(p)
-        cf = energetics_cf(p)
-        for attr in ("w", "q_hot", "q_cold", "sigma"):
-            t = getattr(trace, attr)
-            worst_closed = max(worst_closed, abs(t - getattr(closed, attr)))
-            worst_cf = max(worst_cf, abs(t - getattr(cf, attr)) / max(1.0, abs(t)))
+    for attr in ("w", "q_hot", "q_cold", "sigma"):
+        t = getattr(trace, attr)
+        worst_closed = max(worst_closed, float(np.max(np.abs(t - getattr(closed, attr)))))
+        scaled = np.abs(t - getattr(cf, attr)) / np.maximum(1.0, np.abs(t))
+        worst_cf = max(worst_cf, float(np.max(scaled)))
     elapsed = time.perf_counter() - start
     passed = worst_closed < CLOSED_TOL and worst_cf < CF_REL_TOL and elapsed < 10.0
     detail = (
@@ -151,14 +156,11 @@ def check_route_equivalence() -> CheckResult:
 def check_second_law() -> CheckResult:
     """Entropy production stays nonnegative at every grid point, both modes."""
     start = time.perf_counter()
-    grid = reference_grid()
-    worst = math.inf
-    regimes = set()
-    for p in grid:
-        for mode in (PropagatorMode.INTERACTION_ONLY, PropagatorMode.FULL):
-            book = energetics_trace(p, mode)
-            worst = min(worst, book.sigma)
-            regimes.add(book.regime.value)
+    c = CycleArrays(reference_grid())
+    pops = populations(c)
+    books = [checked(trace_route, c, pops, mode) for mode in BOTH_MODES]
+    worst = min(float(np.min(book.sigma)) for book in books)
+    regimes = {regime.value for book in books for regime in book.regime}
     elapsed = time.perf_counter() - start
     passed = worst >= SIGMA_FLOOR
     detail = f"min Sigma = {worst:.3e} (>= -1e-12); regimes seen: {sorted(regimes)}"
@@ -168,12 +170,10 @@ def check_second_law() -> CheckResult:
 def check_first_law() -> CheckResult:
     """w + q_hot + q_cold vanishes at every grid point, both modes."""
     start = time.perf_counter()
-    grid = reference_grid()
-    worst = 0.0
-    for p in grid:
-        for mode in (PropagatorMode.INTERACTION_ONLY, PropagatorMode.FULL):
-            book = energetics_trace(p, mode)
-            worst = max(worst, abs(book.w + book.q_hot + book.q_cold))
+    c = CycleArrays(reference_grid())
+    pops = populations(c)
+    books = [checked(trace_route, c, pops, mode) for mode in BOTH_MODES]
+    worst = max(float(np.max(np.abs(book.w + book.q_hot + book.q_cold))) for book in books)
     elapsed = time.perf_counter() - start
     passed = worst < FIRST_LAW_TOL
     detail = f"max |w + q_hot + q_cold| = {worst:.3e} (< 1e-12)"
@@ -284,20 +284,20 @@ def check_squeezing_sanity() -> CheckResult:
     if xi_closed_form(replace(base, tau=0.0)) != 1.0:
         problems.append("xi(tau=0) != 1 exactly")
 
-    worst_bound = -math.inf
-    for p in grid:
-        u = propagator(p, PropagatorMode.INTERACTION_ONLY)
-        rho = evolve(initial_state(p), u)
-        xi = xi_general(rho).xi
-        worst_bound = max(worst_bound, xi - 1.0)
-        worst_bound = max(worst_bound, xi_closed_form(p) - 1.0)
+    c = CycleArrays(grid)
+    pops = populations(c)
+    states = checked(evolved_states, c, pops, PropagatorMode.INTERACTION_ONLY)
+    checked(flag_states, states)
+    worst_bound = max(
+        float(np.max(squeezing_stack(states)[0])) - 1.0,
+        float(np.max(xi_closed_stack(c, pops))) - 1.0,
+    )
     if worst_bound > XI_BOUND_SLACK:
         problems.append(f"xi exceeds 1 by {worst_bound:.3e}")
 
+    stride = max(1, len(grid) // 40)
     worst_grid_search = 0.0
-    for p in grid[:: max(1, len(grid) // 40)]:
-        u = propagator(p, PropagatorMode.INTERACTION_ONLY)
-        rho = evolve(initial_state(p), u)
+    for rho in states[::stride]:
         report = xi_general(rho)
         brute = _grid_search_min_variance(rho)
         worst_grid_search = max(worst_grid_search, abs(report.xi - 2.0 * brute))
@@ -306,9 +306,7 @@ def check_squeezing_sanity() -> CheckResult:
 
     rng = np.random.default_rng(20240517)
     worst_rotation = 0.0
-    for p in grid[:: max(1, len(grid) // 25)]:
-        u = propagator(p, PropagatorMode.INTERACTION_ONLY)
-        rho = evolve(initial_state(p), u)
+    for rho in states[:: max(1, len(grid) // 25)]:
         xi = xi_general(rho).xi
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
         rot = np.diag(np.exp(-1j * theta * np.array([1.0, 0.0, 0.0, -1.0])))
@@ -331,14 +329,12 @@ def check_carnot_bound() -> CheckResult:
     """Engine efficiencies never beat Carnot; record the supremum vs the
     gap-ratio reference line (informational)."""
     start = time.perf_counter()
-    grid = reference_grid()
-    worst_excess = -math.inf
-    engine_points = 0
-    for p in grid:
-        book = energetics_trace(p, PropagatorMode.INTERACTION_ONLY)
-        if book.regime is Regime.ENGINE:
-            engine_points += 1
-            worst_excess = max(worst_excess, book.eta - carnot_efficiency(p))
+    c = CycleArrays(reference_grid())
+    book = checked(trace_route, c, populations(c), PropagatorMode.INTERACTION_ONLY)
+    engine = book.regime == Regime.ENGINE
+    engine_points = int(np.count_nonzero(engine))
+    excess = (book.eta - carnot_efficiency(c))[engine]
+    worst_excess = float(np.max(excess)) if engine_points else -math.inf
 
     # supremum of eta over the engine-figure time grid, vs the gap-ratio line
     preset = figure_preset("fig4a")

@@ -40,6 +40,12 @@ def test_spec_rejects_bad_inputs():
         small_spec(routes=("trace", "magic"))
     with pytest.raises(ValueError):
         small_spec(routes=())
+    # the closed and cf routes evaluate the interaction-only evolution
+    for mode in (PropagatorMode.FULL, PropagatorMode.ORACLE_FULL):
+        for routes in (("trace", "closed"), ("cf",)):
+            with pytest.raises(ValueError, match="interaction-only"):
+                small_spec(mode=mode, routes=routes)
+        assert small_spec(mode=mode, routes=("trace",)).mode is mode
 
 
 def test_apply_variable_eps_ratio_holds_eps_a():
@@ -248,13 +254,35 @@ def test_cli_preset_writes_one_file_per_series(tmp_path):
         assert len(lines) == 401
 
 
-def test_cli_usage_errors():
+def test_cli_usage_errors(tmp_path, monkeypatch, capsys):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep started before the usage error was reported")
+
+    monkeypatch.setattr("twostroke.cli.run_sweep", no_sweep)
+    out = str(tmp_path / "x.csv")
     assert main(["sweep", "--preset", "fig99", "--out", "x.csv"]) == 2
     assert main(["sweep", "--out", "x.csv"]) == 2
     assert main(["sweep", "--preset", "fig9"]) == 2
+    assert main(["sweep", "--preset", "fig9", "--out", out, "--workers", "0"]) == 2
+    assert main(["sweep", "--config", str(tmp_path / "missing.ini"), "--out", out]) == 2
+    assert main(["sweep", "--preset", "fig9", "--out", str(tmp_path / "no" / "x.csv")]) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 6 and all(line.startswith("error: ") for line in errors)
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_cli_rejects_interaction_routes_in_full_modes(tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text(CONFIG.replace("mode = interaction", "mode = full"))
+    out = str(tmp_path / "rows.csv")
+    assert main(["sweep", "--config", str(config), "--out", out]) == 2
+    assert main(["sweep", "--preset", "fig2a", "--out", out, "--mode", "oracle-full"]) == 2
+    assert "interaction-only" in capsys.readouterr().err
+    # flags override the file before the combination is judged
+    assert main(["sweep", "--config", str(config), "--out", out, "--routes", "trace"]) == 0
+    assert main(["sweep", "--config", str(config), "--out", out, "--mode", "interaction"]) == 0
 
 
 def test_cli_reports_row_failures(tmp_path, capsys):

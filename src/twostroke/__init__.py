@@ -9,7 +9,6 @@ every closed form cross-checked against a brute-force oracle.
 
 from .linalg import (
     dagger,
-    eig_hermitian,
     expm_unitary,
     is_density,
     is_hermitian,
@@ -18,8 +17,6 @@ from .linalg import (
 )
 from .model import (
     CycleParams,
-    SpinOps,
-    collective_ops,
     free_hamiltonian,
     initial_state,
     interaction_hamiltonian,
@@ -27,10 +24,8 @@ from .model import (
     thermal_state,
 )
 from .propagators import (
-    BlockParams,
     PropagatorMode,
     align_global_phase,
-    block_params,
     closed_vs_oracle_residuals,
     evolve,
     propagator,
@@ -44,40 +39,32 @@ from .presets import FigurePreset, figure_preset
 from .thermo import (
     CFMoments,
     EnergyBook,
-    Performance,
     Regime,
     characteristic_function,
     classify_regime,
     energetics_closed,
     energetics_trace,
     moments_from_cf,
-    performance,
 )
 from .validation import run_validation
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockParams",
     "CFMoments",
     "CycleParams",
     "EnergyBook",
     "FigurePreset",
-    "Performance",
     "PropagatorMode",
     "Regime",
-    "SpinOps",
     "SqueezeReport",
     "SweepRow",
     "SweepSpec",
     "align_global_phase",
-    "block_params",
     "characteristic_function",
     "classify_regime",
     "closed_vs_oracle_residuals",
-    "collective_ops",
     "dagger",
-    "eig_hermitian",
     "energetics_closed",
     "energetics_trace",
     "evolve",
@@ -93,7 +80,6 @@ __all__ = [
     "l1_coherence",
     "local_hamiltonian",
     "moments_from_cf",
-    "performance",
     "propagator",
     "propagator_full_closed",
     "propagator_interaction_closed",

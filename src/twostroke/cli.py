@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     validate = sub.add_parser("validate", help="run the cross-route invariant suite")
     validate.add_argument(
         "--full", action="store_true",
-        help="run the determinism check over every preset (slow)",
+        help="run the determinism check over every distinct preset sweep (slow)",
     )
     validate.set_defaults(func=_cmd_validate)
     return parser

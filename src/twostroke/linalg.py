@@ -112,18 +112,6 @@ def kron(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
-def eig_hermitian(h, tol: float = HERMITIAN_TOL):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(w, v)`` with eigenvalues ``w`` ascending and ``h = v @ diag(w) @ v†``.
-    Raises ValueError if `h` is not Hermitian within `tol`.
-    """
-    a = as_cmat(h)
-    if not is_hermitian(a, tol):
-        raise ValueError(NOT_HERMITIAN)
-    return np.linalg.eigh(a)
-
-
 def expm_stack(h: np.ndarray, t: np.ndarray) -> np.ndarray:
     """exp(-i h t) for a stack of Hermitian h (N, d, d) and times t (N,).
 

@@ -25,9 +25,6 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 IDENTITY_4 = np.eye(4, dtype=complex)
 
-# exp(beta*eps) overflows float64 beyond this; populations never need it.
-BETA_EPS_MAX = 700.0
-
 DEGENERATE = "kappa and omega cannot both vanish (degenerate cycle)"
 
 
@@ -113,15 +110,6 @@ class CycleArrays(_Gaps):
         return len(self.tau)
 
 
-@dataclass(frozen=True)
-class SpinOps:
-    """Collective spin-1/2 operators for the two-qubit space."""
-
-    sx: np.ndarray
-    sy: np.ndarray
-    sz: np.ndarray
-
-
 def local_hamiltonian(eps: float) -> np.ndarray:
     """Single-qubit Hamiltonian -eps |e><e|, i.e. diag(0, -eps)."""
     if not (math.isfinite(eps) and eps > 0.0):
@@ -154,45 +142,11 @@ def thermal_state(eps: float, beta: float) -> np.ndarray:
     return np.diag([p_g, p_e]).astype(complex)
 
 
-def partition_function(eps: float, beta: float) -> float:
-    """Raw partition function Z = 1 + exp(beta*eps).
-
-    Raises OverflowError once beta*eps exceeds the float64 range; callers that
-    only need populations or log Z should use the stable forms instead.
-    """
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise ValueError(f"eps must be positive and finite, got {eps!r}")
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise ValueError(f"beta must be positive and finite, got {beta!r}")
-    if beta * eps > BETA_EPS_MAX:
-        raise OverflowError(
-            f"beta*eps = {beta * eps!r} overflows exp(); use thermal_populations "
-            f"or log_partition_function"
-        )
-    return 1.0 + math.exp(beta * eps)
-
-
-def log_partition_function(eps: float, beta: float) -> float:
-    """log Z = log(1 + exp(beta*eps)), stable for any beta*eps."""
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise ValueError(f"eps must be positive and finite, got {eps!r}")
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise ValueError(f"beta must be positive and finite, got {beta!r}")
-    x = beta * eps
-    # log(1+e^x) = x + log(1+e^-x) for x > 0
-    return x + math.log1p(math.exp(-x))
-
-
 # Collective operators S_alpha = (sigma_alpha x I + I x sigma_alpha)/2.
 SX = 0.5 * (kron(SIGMA_X, IDENTITY_2) + kron(IDENTITY_2, SIGMA_X))
 SY = 0.5 * (kron(SIGMA_Y, IDENTITY_2) + kron(IDENTITY_2, SIGMA_Y))
 SZ = 0.5 * (kron(SIGMA_Z, IDENTITY_2) + kron(IDENTITY_2, SIGMA_Z))
 _SX_SQUARED = SX @ SX
-
-
-def collective_ops() -> SpinOps:
-    """Collective operators S_alpha = (sigma_alpha x I + I x sigma_alpha)/2."""
-    return SpinOps(sx=SX.copy(), sy=SY.copy(), sz=SZ.copy())
 
 
 def flag_degenerate(kappa: np.ndarray, omega: np.ndarray, errors: RowErrors) -> None:
@@ -253,33 +207,11 @@ def initial_state(p: CycleParams) -> np.ndarray:
     return diagonal_states(populations(CycleArrays([p])))[0]
 
 
-def initial_populations(p: CycleParams) -> np.ndarray:
-    """Diagonal of the initial state: (p_gg, p_ge, p_eg, p_ee)."""
-    return populations(CycleArrays([p]))[0]
-
-
 def corner_gap(pops: np.ndarray) -> np.ndarray:
-    """p_ee - p_gg over the last axis of a population array."""
+    """p_ee - p_gg = 1 - 1/Z_a - 1/Z_b over the last axis of a population array."""
     return pops[..., 3] - pops[..., 0]
 
 
 def center_gap(pops: np.ndarray) -> np.ndarray:
-    """p_eg - p_ge over the last axis of a population array."""
+    """p_eg - p_ge over the last axis, signed like beta_a*eps_a - beta_b*eps_b."""
     return pops[..., 2] - pops[..., 1]
-
-
-def corner_population_gap(p: CycleParams) -> float:
-    """p_ee - p_gg, the population imbalance in the |gg>/|ee> block.
-
-    Equals 1 - 1/Z_a - 1/Z_b; strictly inside [0, 1) for valid parameters.
-    """
-    return float(corner_gap(initial_populations(p)))
-
-
-def center_population_gap(p: CycleParams) -> float:
-    """p_eg - p_ge, the population imbalance in the |ge>/|eg> block.
-
-    Sign follows beta_a*eps_a - beta_b*eps_b; it changes sign across the
-    gap-ratio axis and drives the regime changes of the machine.
-    """
-    return float(center_gap(initial_populations(p)))

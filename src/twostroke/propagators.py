@@ -17,13 +17,11 @@ production use.
 """
 
 import enum
-from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .linalg import (
     NOT_HERMITIAN,
-    Column,
     RowErrors,
     as_cmat,
     dagger,
@@ -58,48 +56,15 @@ class PropagatorMode(enum.Enum):
     ORACLE_INTERACTION = "oracle-interaction"
 
 
-@dataclass(frozen=True)
-class BlockParams:
-    """Scalar ingredients of the closed-form propagator assemblies.
-
-    gamma0/gamma1 are the |gg>/|ee> corner-block frequencies without/with the
-    free Hamiltonian; gamma2 is the |ge>/|eg> center-block frequency.  The
-    theta/phi/lambda entries are the corresponding diagonal block amplitudes
-    and mu0/mu1/mu2 the off-diagonal ones (zero-frequency limits give mu = 0).
-    The batch kernels fill every numeric field with an array of shape (N,).
-    """
-
-    variant: str
-    gamma0: Column
-    gamma1: Column
-    gamma2: Column
-    delta_eps: Column
-    eps_p: Column
-    mu0: Column
-    mu1: Column
-    mu2: Column
-    theta_plus: Column
-    theta_minus: Column
-    phi_plus: Column
-    phi_minus: Column
-    lambda_plus: Column
-    lambda_minus: Column
-
-
 def _check_variant(variant: str) -> None:
     if variant not in _VARIANTS:
         raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
 
 
-def _over(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """num/den, and 0 where den vanishes."""
-    zero = den == 0.0
-    return np.where(zero, 0.0, num / np.where(zero, 1.0, den))
-
-
 def _half_sine_over(gamma: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """sin(gamma*tau/2)/gamma, continuous at gamma = 0."""
-    return np.where(gamma == 0.0, 0.5 * tau, _over(np.sin(0.5 * gamma * tau), gamma))
+    zero = gamma == 0.0
+    return np.where(zero, 0.5 * tau, np.sin(0.5 * gamma * tau) / np.where(zero, 1.0, gamma))
 
 
 def _unit(x: np.ndarray) -> np.ndarray:
@@ -107,70 +72,12 @@ def _unit(x: np.ndarray) -> np.ndarray:
     return np.cos(x) + 1j * np.sin(x)
 
 
-def _blocks(c: CycleArrays, variant: str, errors: RowErrors) -> BlockParams:
-    """Every scalar entering the closed-form assemblies, one array per field."""
-    flag_degenerate(c.kappa, c.omega, errors)
-    kappa, omega, tau = c.kappa, c.omega, c.tau
-    eps_p, delta_eps = c.eps_p, c.delta_eps
-
-    if variant == CORRECTED:
-        gamma0 = np.hypot(kappa, 2.0 * omega)
-        gamma1 = np.hypot(kappa, 2.0 * omega + eps_p)
-        z0 = 2.0 * omega
-        z1 = 2.0 * omega + eps_p
-    else:
-        gamma0 = np.hypot(kappa, omega)
-        gamma1 = np.hypot(kappa, omega - 0.5 * eps_p)
-        z0 = omega
-        z1 = None  # verbatim keeps the published split theta +/- eps_p term
-    gamma2 = np.hypot(kappa, delta_eps)
-
-    c0 = np.cos(0.5 * gamma0 * tau)
-    f0 = _half_sine_over(gamma0, tau)
-    c1 = np.cos(0.5 * gamma1 * tau)
-    f1 = _half_sine_over(gamma1, tau)
-    c2 = np.cos(0.5 * gamma2 * tau)
-    f2 = _half_sine_over(gamma2, tau)
-    phase = _unit(0.5 * eps_p * tau)
-
-    theta_plus = c0 - 1j * z0 * f0
-    theta_minus = c0 + 1j * z0 * f0
-    if variant == CORRECTED:
-        phi_plus = phase * (c1 - 1j * z1 * f1)
-        phi_minus = phase * (c1 + 1j * z1 * f1)
-    else:
-        phi_plus = phase * (theta_plus - 1j * eps_p * f1)
-        phi_minus = phase * (theta_minus + 1j * eps_p * f1)
-    lambda_plus = phase * (c2 - 1j * delta_eps * f2)
-    lambda_minus = phase * (c2 + 1j * delta_eps * f2)
-
-    return BlockParams(
-        variant=variant,
-        gamma0=gamma0,
-        gamma1=gamma1,
-        gamma2=gamma2,
-        delta_eps=delta_eps,
-        eps_p=eps_p,
-        mu0=_over(-1j * kappa, gamma0),
-        mu1=_over(-1j * kappa * phase, gamma1),
-        mu2=_over(kappa * phase, gamma2),
-        theta_plus=theta_plus,
-        theta_minus=theta_minus,
-        phi_plus=phi_plus,
-        phi_minus=phi_minus,
-        lambda_plus=lambda_plus,
-        lambda_minus=lambda_minus,
-    )
-
-
-def block_params(p: CycleParams, variant: str = CORRECTED) -> BlockParams:
-    """Compute every scalar entering the closed-form assemblies."""
-    _check_variant(variant)
-    bp = checked(_blocks, CycleArrays([p]), variant)
-    return BlockParams(
-        variant=variant,
-        **{f.name: getattr(bp, f.name)[0].item() for f in fields(BlockParams)[1:]},
-    )
+def _block(gamma: np.ndarray, z: np.ndarray, tau: np.ndarray):
+    """(c - i*z*f, c + i*z*f, f) of a 2x2 block of frequency gamma and detuning z,
+    with c = cos(gamma*tau/2) and f = sin(gamma*tau/2)/gamma."""
+    c = np.cos(0.5 * gamma * tau)
+    f = _half_sine_over(gamma, tau)
+    return c - 1j * z * f, c + 1j * z * f, f
 
 
 def _checkerboard(corner, center, d0, d1, d2, d3, global_phase) -> np.ndarray:
@@ -183,22 +90,37 @@ def _checkerboard(corner, center, d0, d1, d2, d3, global_phase) -> np.ndarray:
 
 
 def _closed(c: CycleArrays, include_free: bool, variant: str, errors: RowErrors) -> np.ndarray:
-    """Closed-form unitaries of the interaction or the full generator, (N, 4, 4)."""
-    bp = _blocks(c, variant, errors)
-    kappa, tau = c.kappa, c.tau
+    """Closed-form unitaries of the interaction or the full generator, (N, 4, 4).
+
+    Block frequencies: |gg>/|ee> hypot(kappa, z0), or with the free part
+    hypot(kappa, z0 + eps_p) (verbatim: omega - eps_p/2, published split
+    amplitudes); |ge>/|eg> kappa, or with the free part hypot(kappa, delta_eps).
+    """
+    flag_degenerate(c.kappa, c.omega, errors)
+    kappa, omega, tau = c.kappa, c.omega, c.tau
     cc = np.cos(0.5 * kappa * tau)
     sc = np.sin(0.5 * kappa * tau)
     global_phase = cc - 1j * sc
+    z0 = 2.0 * omega if variant == CORRECTED else omega
     if not include_free:
-        corner_off = -1j * kappa * _half_sine_over(bp.gamma0, tau)
+        theta_plus, theta_minus, f0 = _block(np.hypot(kappa, z0), z0, tau)
         return _checkerboard(
-            corner_off, -1j * sc, bp.theta_plus, cc, cc, bp.theta_minus, global_phase
+            -1j * kappa * f0, -1j * sc, theta_plus, cc, cc, theta_minus, global_phase
         )
-    phase = _unit(0.5 * bp.eps_p * tau)
-    corner_off = -1j * kappa * phase * _half_sine_over(bp.gamma1, tau)
-    center_off = -1j * kappa * phase * _half_sine_over(bp.gamma2, tau)
+    eps_p, delta_eps = c.eps_p, c.delta_eps
+    if variant == CORRECTED:
+        z1 = 2.0 * omega + eps_p
+        phi_plus, phi_minus, f1 = _block(np.hypot(kappa, z1), z1, tau)
+    else:
+        theta_plus, theta_minus, _ = _block(np.hypot(kappa, z0), z0, tau)
+        f1 = _half_sine_over(np.hypot(kappa, omega - 0.5 * eps_p), tau)
+        phi_plus = theta_plus - 1j * eps_p * f1
+        phi_minus = theta_minus + 1j * eps_p * f1
+    lambda_plus, lambda_minus, f2 = _block(np.hypot(kappa, delta_eps), delta_eps, tau)
+    phase = _unit(0.5 * eps_p * tau)
     return _checkerboard(
-        corner_off, center_off, bp.phi_plus, bp.lambda_plus, bp.lambda_minus, bp.phi_minus,
+        -1j * kappa * phase * f1, -1j * kappa * phase * f2,
+        phase * phi_plus, phase * lambda_plus, phase * lambda_minus, phase * phi_minus,
         global_phase,
     )
 

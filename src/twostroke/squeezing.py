@@ -135,20 +135,12 @@ def variance_orthogonal(rho, phi: float) -> float:
 
 
 def _eta_sq(c: CycleArrays, variant: str) -> np.ndarray:
+    """Squeeze-amplitude factor of the closed form (not the engine efficiency eta)."""
     if variant == CORRECTED:
         g = np.hypot(c.kappa, 2.0 * c.omega)
     else:
         g = np.hypot(c.kappa, c.omega - 0.5 * c.eps_p)
     return np.sqrt(16.0 * c.omega**2 + 2.0 * c.kappa**2 * (1.0 + np.cos(g * c.tau)))
-
-
-def eta_sq(p: CycleParams, variant: str = CORRECTED) -> float:
-    """Squeeze-amplitude factor of the closed-form squeezing parameter.
-
-    Named eta_sq to stay clear of the engine efficiency eta.
-    """
-    _check_variant(variant)
-    return float(_eta_sq(CycleArrays([p]), variant)[0])
 
 
 def xi_closed_stack(c: CycleArrays, pops: np.ndarray, variant: str = CORRECTED) -> np.ndarray:

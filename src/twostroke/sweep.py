@@ -8,7 +8,6 @@ byte-identical for any pool width.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -65,7 +64,6 @@ class SweepSpec:
     points: int
     mode: PropagatorMode = PropagatorMode.INTERACTION_ONLY
     routes: tuple[str, ...] = ROUTES
-    output_path: Optional[str] = None
 
     def __post_init__(self):
         if self.variable not in SWEEP_VARIABLES:
@@ -223,22 +221,22 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
     """Evaluate the whole grid, in grid order, optionally on a process pool.
 
     Results do not depend on `workers`; a width of 1 avoids the pool
-    entirely, and a wider pool evaluates one contiguous chunk per worker.
-    When `spec.output_path` is set the CSV is written as well.
+    entirely, and a wider pool evaluates one contiguous chunk per worker,
+    with no more workers than grid points.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers!r}")
     values = spec.grid()
+    workers = min(workers, len(values))
     if workers == 1:
-        rows = evaluate_grid(spec, values)
-    else:
-        chunks = np.array_split(values, workers)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(evaluate_grid, [spec] * len(chunks), chunks)
-            rows = [row for part in parts for row in part]
-    if spec.output_path is not None:
-        write_csv(rows, spec.output_path)
-    return rows
+        return evaluate_grid(spec, values)
+    # imported here: loading the pool machinery costs every CLI start ~20 ms
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunks = np.array_split(values, workers)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        parts = pool.map(evaluate_grid, [spec] * len(chunks), chunks)
+        return [row for part in parts for row in part]
 
 
 def _cell(value) -> str:

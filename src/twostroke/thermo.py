@@ -15,7 +15,7 @@ of local energy changes beta_a*dE_a + beta_b*dE_b.
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -81,13 +81,6 @@ class EnergyBook:
             method=self.method,
             degenerate=bool(self.degenerate[i]),
         )
-
-
-class Performance(NamedTuple):
-    eta: Optional[float]
-    power: float
-    eta_otto: float
-    eta_carnot: float
 
 
 @dataclass(frozen=True)
@@ -417,18 +410,3 @@ def energetics_cf(p: CycleParams, step: float = CF_STEP) -> EnergyBook:
     """Energetics with first moments from the characteristic function."""
     return _one_book(cf_book, p, step)
 
-
-def performance(book: EnergyBook, p: CycleParams) -> Performance:
-    """Efficiency and power plus the two reference lines.
-
-    eta is only defined in the engine regime; the reference lines are
-    attached as metadata and never asserted as achieved efficiencies.
-    """
-    eta = book.eta if book.regime is Regime.ENGINE else None
-    power = 0.0 if p.tau == 0.0 else -book.w / p.tau
-    return Performance(
-        eta=eta,
-        power=power,
-        eta_otto=otto_efficiency(p),
-        eta_carnot=carnot_efficiency(p),
-    )

@@ -8,6 +8,7 @@ invariants (laws of thermodynamics, squeezing bounds, regime structure).
 The same checks back the CLI ``validate`` command and the acceptance tests.
 """
 
+import functools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -15,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import checked
-from .model import CycleArrays, CycleParams, collective_ops, populations
+from .model import SX, SY, CycleArrays, CycleParams, populations
 from .presets import PRESET_NAMES, figure_preset
 from .propagators import PropagatorMode, align_global_phase, evolved_states, unitaries
 from .squeezing import flag_states, squeezing_stack, xi_closed_form, xi_closed_stack, xi_general
@@ -46,8 +47,6 @@ CF_FORM_TOL = 1e-10
 
 BOTH_MODES = (PropagatorMode.INTERACTION_ONLY, PropagatorMode.FULL)
 
-_GRID_CACHE: tuple[CycleParams, ...] | None = None
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -57,11 +56,9 @@ class CheckResult:
     elapsed: float
 
 
+@functools.cache
 def reference_grid() -> tuple[CycleParams, ...]:
     """Deterministic grid of >= 500 parameter points across figure ranges."""
-    global _GRID_CACHE
-    if _GRID_CACHE is not None:
-        return _GRID_CACHE
     points: list[CycleParams] = []
     # gap-ratio band at strong coupling (regime map / energetics comparison)
     for r in np.linspace(0.05, 2.0, 100):
@@ -95,8 +92,7 @@ def reference_grid() -> tuple[CycleParams, ...]:
             CycleParams(eps_a=1.0, eps_b=0.5, beta_a=1.0, beta_b=2.0,
                         kappa=1.0, omega=10.0, tau=float(t))
         )
-    _GRID_CACHE = tuple(points)
-    return _GRID_CACHE
+    return tuple(points)
 
 
 def check_propagator_equivalence() -> CheckResult:
@@ -241,9 +237,8 @@ def check_regime_bands() -> CheckResult:
 def _grid_search_min_variance(rho: np.ndarray, angles: int = 10_000) -> float:
     """Brute-force transverse-variance minimum: build the spin component at
     every angle, square it, trace — no use of the closed-form sinusoid."""
-    ops = collective_ops()
     phi = np.linspace(0.0, math.pi, angles, endpoint=False)
-    s_phi = np.cos(phi)[:, None, None] * ops.sx + np.sin(phi)[:, None, None] * ops.sy
+    s_phi = np.cos(phi)[:, None, None] * SX + np.sin(phi)[:, None, None] * SY
     variances = np.einsum("aij,ajk,ki->a", s_phi, s_phi, rho).real
     best = int(np.argmin(variances))
     # golden-section polish around the best sample
@@ -251,7 +246,7 @@ def _grid_search_min_variance(rho: np.ndarray, angles: int = 10_000) -> float:
     lo, hi = phi[best] - step, phi[best] + step
 
     def var_at(angle: float) -> float:
-        s = math.cos(angle) * ops.sx + math.sin(angle) * ops.sy
+        s = math.cos(angle) * SX + math.sin(angle) * SY
         return float(np.trace(s @ s @ rho).real)
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -454,44 +449,57 @@ def check_cf_health() -> CheckResult:
     return CheckResult("characteristic-function health", passed, detail, elapsed)
 
 
-def check_determinism(presets: tuple[str, ...] = PRESET_NAMES) -> CheckResult:
+def preset_sweeps() -> dict[str, SweepSpec]:
+    """The sweep of every preset series, each distinct sweep once.
+
+    Series with equal specs share one entry, labelled ``name/series`` for
+    each of them, joined by ``=`` (fig3a/3b/4a/4b/5 are one sweep per
+    coupling, and fig10's interaction series is fig2a).
+    """
+    labels: dict[SweepSpec, list[str]] = {}
+    for name in PRESET_NAMES:
+        for label, spec in figure_preset(name).series:
+            labels.setdefault(spec, []).append(f"{name}/{label}")
+    return {"=".join(names): spec for spec, names in labels.items()}
+
+
+def check_determinism(specs: dict[str, SweepSpec] | None = None) -> CheckResult:
     """Byte-identical CSV across repeated runs and across pool widths.
 
-    Since this walks every preset row anyway, it also enforces the per-row
-    residual budget of the requested routes (1e-9 for the closed forms,
-    1e-6 scaled for the characteristic function).
+    `specs` maps a label to each sweep to check; by default every distinct
+    preset sweep.  Since this walks every row anyway, it also enforces the
+    per-row residual budget of the requested routes (1e-9 for the closed
+    forms, 1e-6 scaled for the characteristic function).
     """
     start = time.perf_counter()
+    specs = preset_sweeps() if specs is None else specs
     mismatches = []
     worst_closed = 0.0
     worst_cf = 0.0
-    for name in presets:
-        preset = figure_preset(name)
-        for label, spec in preset.series:
-            rows = run_sweep(spec, workers=1)
-            first = rows_to_csv(rows)
-            again = rows_to_csv(run_sweep(spec, workers=1))
-            pooled = rows_to_csv(run_sweep(spec, workers=2))
-            if first != again:
-                mismatches.append(f"{name}/{label}: rerun differs")
-            if first != pooled:
-                mismatches.append(f"{name}/{label}: pool width changes bytes")
-            for row in rows:
-                if row.error is not None:
-                    mismatches.append(f"{name}/{label}: row {row.swept_value} failed")
-                    continue
-                if row.resid_closed is not None:
-                    worst_closed = max(worst_closed, row.resid_closed)
-                if row.resid_cf is not None:
-                    scale = max(1.0, abs(row.w), abs(row.q_hot), abs(row.q_cold), abs(row.sigma))
-                    worst_cf = max(worst_cf, row.resid_cf / scale)
+    for label, spec in specs.items():
+        rows = run_sweep(spec, workers=1)
+        first = rows_to_csv(rows)
+        if first != rows_to_csv(run_sweep(spec, workers=1)):
+            mismatches.append(f"{label}: rerun differs")
+        if first != rows_to_csv(run_sweep(spec, workers=2)):
+            mismatches.append(f"{label}: pool width changes bytes")
+        for row in rows:
+            if row.error is not None:
+                mismatches.append(f"{label}: row {row.swept_value} failed")
+                continue
+            if row.resid_closed is not None:
+                worst_closed = max(worst_closed, row.resid_closed)
+            if row.resid_cf is not None:
+                scale = max(1.0, abs(row.w), abs(row.q_hot), abs(row.q_cold), abs(row.sigma))
+                worst_cf = max(worst_cf, row.resid_cf / scale)
     if worst_closed >= CLOSED_TOL:
         mismatches.append(f"closed-route residual {worst_closed:.3e} over budget")
     if worst_cf >= CF_REL_TOL:
         mismatches.append(f"cf-route residual {worst_cf:.3e} over budget")
     elapsed = time.perf_counter() - start
     detail = (
-        f"{len(presets)} presets checked (rerun + 2-worker pool); row residuals "
+        f"{len(specs)} sweep(s), {sum(spec.points for spec in specs.values())} rows "
+        f"(rerun + 2-worker pool); row residuals "
         f"closed {worst_closed:.2e}, cf {worst_cf:.2e}; "
         + ("all byte-identical" if not mismatches else "; ".join(mismatches))
     )
@@ -507,10 +515,11 @@ def quick_determinism_spec() -> SweepSpec:
 def run_validation(quick: bool = True) -> list[CheckResult]:
     """The invariant suite behind the CLI ``validate`` command.
 
-    The deliberately failing extremum-alignment acceptance check is not part
-    of this suite; it lives in the acceptance tests with its analysis.
+    Determinism and the row residual budgets are checked on one 40-point
+    sweep (quick) or on every distinct preset sweep.  The deliberately red
+    extremum-alignment check lives in the acceptance tests with its analysis.
     """
-    results = [
+    return [
         check_propagator_equivalence(),
         check_route_equivalence(),
         check_second_law(),
@@ -519,22 +528,5 @@ def run_validation(quick: bool = True) -> list[CheckResult]:
         check_squeezing_sanity(),
         check_carnot_bound(),
         check_cf_health(),
+        check_determinism({"quick": quick_determinism_spec()} if quick else None),
     ]
-    if quick:
-        start = time.perf_counter()
-        spec = quick_determinism_spec()
-        first = rows_to_csv(run_sweep(spec, workers=1))
-        again = rows_to_csv(run_sweep(spec, workers=1))
-        pooled = rows_to_csv(run_sweep(spec, workers=2))
-        ok = first == again == pooled
-        results.append(
-            CheckResult(
-                "determinism (quick)",
-                ok,
-                "40-point sweep, rerun + 2-worker pool byte-identical" if ok else "byte mismatch",
-                time.perf_counter() - start,
-            )
-        )
-    else:
-        results.append(check_determinism())
-    return results

@@ -5,8 +5,6 @@ from numpy.testing import assert_allclose
 
 from conftest import random_hermitian
 from twostroke.linalg import (
-    dagger,
-    eig_hermitian,
     expm_unitary,
     is_density,
     is_hermitian,
@@ -122,34 +120,6 @@ def test_expm_group_properties(real, imag, t1, t2):
     u1 = expm_unitary(h, t1)
     assert np.max(np.abs(u1 @ expm_unitary(h, -t1) - np.eye(4))) < 1e-12
     assert np.max(np.abs(expm_unitary(h, t1 + t2) - u1 @ expm_unitary(h, t2))) < 1e-11
-
-
-# --- eig_hermitian ----------------------------------------------------------
-
-def test_eig_diagonal_input_sorted():
-    w, v = eig_hermitian(np.diag([3.0, 1.0]).astype(complex))
-    assert_allclose(w, [1.0, 3.0], atol=0)
-    assert is_unitary(v, 1e-12)
-
-
-def test_eig_pauli_x_spectrum():
-    w, _ = eig_hermitian(SIGMA_X)
-    assert_allclose(w, [-1.0, 1.0], atol=1e-14)
-
-
-def test_eig_reconstruction(rng):
-    for dim in (2, 4):
-        for _ in range(10):
-            h = random_hermitian(rng, dim)
-            w, v = eig_hermitian(h)
-            assert np.all(np.diff(w) >= 0)
-            assert np.max(np.abs((v * w) @ dagger(v) - h)) < 1e-10
-            assert is_unitary(v, 1e-10)
-
-
-def test_eig_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        eig_hermitian(np.array([[0.0, 1.0], [2.0, 0.0]], dtype=complex))
 
 
 # --- predicates -------------------------------------------------------------

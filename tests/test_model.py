@@ -8,17 +8,18 @@ from twostroke.linalg import is_density, is_hermitian, kron
 from twostroke.model import (
     IDENTITY_4,
     SIGMA_X,
+    SX,
+    SY,
+    SZ,
+    CycleArrays,
     CycleParams,
-    center_population_gap,
-    collective_ops,
-    corner_population_gap,
+    center_gap,
+    corner_gap,
     free_hamiltonian,
-    initial_populations,
     initial_state,
     interaction_hamiltonian,
     local_hamiltonian,
-    log_partition_function,
-    partition_function,
+    populations,
     thermal_populations,
     thermal_state,
 )
@@ -101,32 +102,21 @@ def test_thermal_state_survives_extreme_beta():
     assert p_g == 0.0 and p_e == 1.0
 
 
-def test_partition_function_overflow_guard():
-    assert partition_function(1.0, 1.0) == pytest.approx(1.0 + math.e)
-    with pytest.raises(OverflowError):
-        partition_function(1.0, 701.0)
-    # the log form keeps working where the raw Z cannot
-    assert log_partition_function(1.0, 1000.0) == pytest.approx(1000.0)
-
-
 # --- collective operators -----------------------------------------------------
 
 def test_collective_sz_spectrum():
-    ops = collective_ops()
-    assert_allclose(ops.sz, np.diag([1.0, 0.0, 0.0, -1.0]).astype(complex), atol=0)
+    assert_allclose(SZ, np.diag([1.0, 0.0, 0.0, -1.0]).astype(complex), atol=0)
 
 
 def test_collective_sx_squared():
     # expansion of ((sigma_x x I + I x sigma_x)/2)^2 by Pauli algebra
-    ops = collective_ops()
     expected = 0.5 * (IDENTITY_4 + kron(SIGMA_X, SIGMA_X))
-    assert_allclose(ops.sx @ ops.sx, expected, atol=1e-15)
+    assert_allclose(SX @ SX, expected, atol=1e-15)
 
 
 def test_collective_su2_commutator():
-    ops = collective_ops()
-    comm = ops.sx @ ops.sy - ops.sy @ ops.sx
-    assert np.max(np.abs(comm - 1j * ops.sz)) < 1e-14
+    comm = SX @ SY - SY @ SX
+    assert np.max(np.abs(comm - 1j * SZ)) < 1e-14
 
 
 # --- interaction and free Hamiltonians ----------------------------------------
@@ -175,7 +165,7 @@ def test_free_hamiltonian_commutators():
 def test_initial_state_is_uncorrelated_product():
     p = CycleParams(eps_a=1.0, eps_b=0.5, beta_a=1.0, beta_b=2.0, kappa=1.0, omega=10.0, tau=1.0)
     rho = initial_state(p)
-    pops = initial_populations(p)
+    pops = populations(CycleArrays([p]))[0]
     assert is_density(rho, 1e-14)
     assert np.max(np.abs(rho - np.diag(pops))) == 0.0
     assert np.all((pops > 0) & (pops < 1))
@@ -186,10 +176,9 @@ def test_initial_state_is_uncorrelated_product():
 
 
 def test_initial_state_mean_transverse_spin_vanishes():
-    ops = collective_ops()
     rho = initial_state(params())
-    assert abs(np.trace(ops.sx @ rho)) == 0.0
-    assert abs(np.trace(ops.sy @ rho)) == 0.0
+    assert abs(np.trace(SX @ rho)) == 0.0
+    assert abs(np.trace(SY @ rho)) == 0.0
 
 
 def test_swap_symmetric_product_of_equal_thermal_states():
@@ -203,13 +192,17 @@ def test_swap_symmetric_product_of_equal_thermal_states():
 
 
 def test_population_gaps():
+    def pops(p):
+        return populations(CycleArrays([p]))[0]
+
     p = params()
-    za = partition_function(p.eps_a, p.beta_a)
-    zb = partition_function(p.eps_b, p.beta_b)
+    # raw partition functions Z = 1 + exp(beta*eps)
+    za = 1.0 + math.exp(p.beta_a * p.eps_a)
+    zb = 1.0 + math.exp(p.beta_b * p.eps_b)
     assert za > 2.0 and zb > 2.0
-    zbar = corner_population_gap(p)
+    zbar = corner_gap(pops(p))
     assert zbar == pytest.approx(1.0 - 1.0 / za - 1.0 / zb, abs=1e-15)
     assert 0.0 <= zbar < 1.0
     # center gap follows the sign of beta_a*eps_a - beta_b*eps_b
-    assert center_population_gap(p) < 0.0  # 1.0 < 1.2
-    assert center_population_gap(params(eps_b=0.3)) > 0.0
+    assert center_gap(pops(p)) < 0.0  # 1.0 < 1.2
+    assert center_gap(pops(params(eps_b=0.3))) > 0.0

@@ -9,7 +9,6 @@ from twostroke.model import CycleParams, initial_state
 from twostroke.propagators import (
     PropagatorMode,
     align_global_phase,
-    block_params,
     closed_vs_oracle_residuals,
     evolve,
     propagator,
@@ -118,15 +117,25 @@ def test_composition_in_time():
             assert np.max(np.abs(u12 - u2 @ u1)) < 1e-11
 
 
-def test_block_params_frequencies():
-    p = params(kappa=0.3, omega=0.8)
-    bp = block_params(p)
-    assert bp.gamma0 == pytest.approx(np.hypot(0.3, 1.6))
-    assert bp.gamma1 == pytest.approx(np.hypot(0.3, 1.6 + p.eps_p))
-    assert bp.gamma2 == pytest.approx(np.hypot(0.3, p.delta_eps))
-    verb = block_params(p, "verbatim")
-    assert verb.gamma0 == pytest.approx(np.hypot(0.3, 0.8))
-    assert verb.gamma2 == bp.gamma2
+def test_closed_form_block_frequencies():
+    # an off-diagonal entry of a block turning at gamma has modulus
+    # kappa*|sin(gamma*tau/2)|/gamma
+    p = params(kappa=0.3, omega=0.8, tau=2.3)
+
+    def amplitude(gamma):
+        return 0.3 * abs(np.sin(0.5 * gamma * p.tau)) / gamma
+
+    u = propagator_interaction_closed(p)
+    assert abs(u[0, 3]) == pytest.approx(amplitude(np.hypot(0.3, 1.6)))
+    u = propagator_interaction_closed(p, "verbatim")
+    assert abs(u[0, 3]) == pytest.approx(amplitude(np.hypot(0.3, 0.8)))
+    u = propagator_full_closed(p)
+    assert abs(u[0, 3]) == pytest.approx(amplitude(np.hypot(0.3, 1.6 + p.eps_p)))
+    for variant in ("corrected", "verbatim"):
+        u = propagator_full_closed(p, variant)
+        assert abs(u[1, 2]) == pytest.approx(amplitude(np.hypot(0.3, p.delta_eps)))
+    u = propagator_full_closed(p, "verbatim")
+    assert abs(u[0, 3]) == pytest.approx(amplitude(np.hypot(0.3, 0.8 - 0.5 * p.eps_p)))
 
 
 def test_verbatim_constants_disagree_with_oracle():

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import twostroke
+from twostroke import validation
 from twostroke.cli import load_config, main
 from twostroke.model import CycleParams
 from twostroke.presets import PRESET_NAMES, figure_preset
@@ -127,6 +133,32 @@ def test_csv_deterministic_across_runs_and_workers():
     assert first == again == pooled
 
 
+def test_pool_width_capped_at_grid_size(monkeypatch):
+    widths = []
+
+    class InlineExecutor:
+        """Runs the chunks in this process and records the requested width."""
+
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlineExecutor)
+    spec = small_spec(points=3)
+    wide = rows_to_csv(run_sweep(spec, workers=200))
+    assert widths == [3]
+    assert wide == rows_to_csv(run_sweep(spec, workers=1))
+    assert widths == [3]  # one worker never builds a pool
+
+
 # --- presets ----------------------------------------------------------------------------
 
 def test_preset_names_all_build():
@@ -173,6 +205,31 @@ def test_fig9_parameters():
         assert spec.base.kappa == pytest.approx(0.1)
         assert spec.base.omega == pytest.approx(1.0)
         assert spec.base.tau == pytest.approx(0.1)
+
+
+# --- determinism check --------------------------------------------------------------------
+
+def test_determinism_check_reports_failed_rows():
+    # tau < 0 makes an invalid cycle in the first two rows
+    result = validation.check_determinism({"bad": small_spec(start=-1.0, stop=1.0, points=5)})
+    assert not result.passed
+    assert "bad: row -1.0 failed" in result.detail
+    assert "bad: row -0.5 failed" in result.detail
+
+
+def test_preset_sweeps_hold_every_series_once():
+    sweeps = validation.preset_sweeps()
+    specs = list(sweeps.values())
+    assert len(set(specs)) == len(specs)
+    labels = [label for key in sweeps for label in key.split("=")]
+    assert len(set(labels)) == len(labels)
+    for name in PRESET_NAMES:
+        for label, spec in figure_preset(name).series:
+            key = next(key for key in sweeps if f"{name}/{label}" in key.split("="))
+            assert sweeps[key] == spec
+    # the five time-axis figures share one sweep per coupling; fig10/interaction is fig2a
+    assert "fig3a/k0.10=fig3b/k0.10=fig4a/k0.10=fig4b/k0.10=fig5/k0.10" in sweeps
+    assert "fig2a/main=fig10/interaction" in sweeps
 
 
 # --- config files and the CLI -------------------------------------------------------------
@@ -293,3 +350,12 @@ def test_cli_reports_row_failures(tmp_path, capsys):
     assert code == 1
     captured = capsys.readouterr()
     assert "failed" in captured.err
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    src = os.path.dirname(os.path.dirname(twostroke.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, twostroke.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

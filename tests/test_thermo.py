@@ -13,7 +13,6 @@ from twostroke.thermo import (
     energetics_trace,
     entropy_production,
     otto_efficiency,
-    performance,
 )
 from twostroke.validation import reference_grid
 
@@ -173,13 +172,13 @@ def test_reference_efficiencies():
 
 
 def test_engine_point_efficiency_arithmetic():
-    book = energetics_trace(params(tau=30.0))
+    p = params(tau=30.0)
+    book = energetics_trace(p)
     assert book.regime is Regime.ENGINE
-    perf = performance(book, params(tau=30.0))
-    assert perf.eta == pytest.approx(-book.w / book.q_hot)
-    assert perf.power == pytest.approx(-book.w / 30.0)
-    assert perf.eta_carnot == pytest.approx(0.5)
-    assert perf.eta_otto == pytest.approx(0.4)
+    assert book.eta == pytest.approx(-book.w / book.q_hot)
+    assert book.power == pytest.approx(-book.w / 30.0)
+    assert carnot_efficiency(p) == pytest.approx(0.5)
+    assert otto_efficiency(p) == pytest.approx(0.4)
 
 
 def test_efficiency_absent_outside_engine():
@@ -187,7 +186,6 @@ def test_efficiency_absent_outside_engine():
     book = energetics_trace(p)
     assert book.regime is not Regime.ENGINE
     assert book.eta is None
-    assert performance(book, p).eta is None
 
 
 def test_carnot_bound_on_engine_points():

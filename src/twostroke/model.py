@@ -195,7 +195,8 @@ def populations(c: CycleArrays) -> np.ndarray:
 
 
 def diagonal_states(pops: np.ndarray) -> np.ndarray:
-    """Density matrices with the given diagonals, shape (N, 4, 4)."""
+    """Diagonal matrices with the given diagonals, shape (N, 4, 4): density
+    matrices for populations, phase matrices for unit-modulus entries."""
     rho = np.zeros(pops.shape + (4,), dtype=complex)
     idx = np.arange(4)
     rho[:, idx, idx] = pops

@@ -48,7 +48,7 @@ def _strong_coupling_base() -> CycleParams:
     )
 
 
-def _engine_base(kappa: float) -> CycleParams:
+def engine_base(kappa: float) -> CycleParams:
     # engine operating point: eps_b = 0.6*eps_a, omega = 0.5
     return CycleParams(
         eps_a=1.0, eps_b=0.6, beta_a=1.0, beta_b=2.0, kappa=kappa, omega=0.5, tau=1.0
@@ -71,7 +71,7 @@ def _tau_engine_series() -> tuple[tuple[str, SweepSpec], ...]:
     series = []
     for kappa in (0.10, 0.12):
         spec = SweepSpec(
-            base=_engine_base(kappa),
+            base=engine_base(kappa),
             variable="tau",
             start=TAU_START,
             stop=TAU_STOP,

@@ -175,15 +175,15 @@ def propagator(p: CycleParams, mode: PropagatorMode) -> np.ndarray:
     return _one(unitaries, p, mode)
 
 
-def evolve_stack(
-    rho0: np.ndarray, u: np.ndarray, unitary_tol: float, errors: RowErrors
-) -> np.ndarray:
-    """U rho U† row by row, failing rows whose state or unitary is unphysical."""
+def evolve_stack(rho0: np.ndarray, u: np.ndarray, errors: RowErrors) -> np.ndarray:
+    """U rho U† row by row, failing rows whose state or unitary is unphysical
+    (U unitary to EVOLVE_UNITARY_TOL)."""
     errors.flag(
         ~density_mask(rho0), lambda i: ValueError("rho0 is not a density matrix within tolerance")
     )
     errors.flag(
-        ~unitary_mask(u, unitary_tol), lambda i: ValueError("u is not unitary within tolerance")
+        ~unitary_mask(u, EVOLVE_UNITARY_TOL),
+        lambda i: ValueError("u is not unitary within tolerance"),
     )
     return u @ rho0 @ dagger(u)
 
@@ -193,16 +193,16 @@ def evolved_states(
 ) -> np.ndarray:
     """Each row's initial product state (populations `pops`) after its stroke."""
     u = unitaries(c, mode, errors)
-    return evolve_stack(diagonal_states(pops), u, EVOLVE_UNITARY_TOL, errors)
+    return evolve_stack(diagonal_states(pops), u, errors)
 
 
-def evolve(rho0, u, unitary_tol: float = EVOLVE_UNITARY_TOL) -> np.ndarray:
-    """Conjugate a density matrix by a unitary: U rho U†."""
+def evolve(rho0, u) -> np.ndarray:
+    """Conjugate a density matrix by a unitary: U rho U† (U unitary to EVOLVE_UNITARY_TOL)."""
     rho0 = as_cmat(rho0)
     u = as_cmat(u)
     if rho0.shape != u.shape:
         raise ValueError("state and unitary dimensions differ")
-    return checked(evolve_stack, rho0[None], u[None], unitary_tol)[0]
+    return checked(evolve_stack, rho0[None], u[None])[0]
 
 
 def align_global_phase(u: np.ndarray, reference: np.ndarray) -> np.ndarray:

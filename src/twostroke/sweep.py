@@ -17,7 +17,7 @@ from .linalg import RowErrors
 from .model import CycleArrays, CycleParams, populations
 from .propagators import PropagatorMode, evolved_states
 from .squeezing import coherence_stack, flag_states, squeezing_stack, xi_closed_stack
-from .thermo import CF_STEP, EnergyBook, Regime, cf_book, closed_book, trace_book
+from .thermo import EnergyBook, Regime, cf_book, closed_book, trace_book
 
 SWEEP_VARIABLES = ("tau", "kappa", "omega", "eps_ratio")
 ROUTES = ("trace", "closed", "cf")
@@ -156,7 +156,7 @@ def evaluate(
         if "closed" in routes:
             books["closed"] = closed_book(c, pops, errors)
         if "cf" in routes:
-            books["cf"] = cf_book(c, pops, CF_STEP, errors)
+            books["cf"] = cf_book(c, pops, errors)
         flag_states(rho_tau, errors)
 
         primary = books.get("trace") or books.get("closed") or books["cf"]
@@ -167,24 +167,26 @@ def evaluate(
             "Sigma": primary.sigma,
             "power": primary.power,
             "xi_general": squeezing_stack(rho_tau)[0],
-            "xi_closed": xi_closed_stack(c, pops),
             "coherence_l1": coherence_stack(rho_tau),
         }
+        if mode not in FULL_MODES:  # an interaction-only formula; blank otherwise
+            numeric["xi_closed"] = xi_closed_stack(c, pops)
         for route in ("closed", "cf"):
             if "trace" in books and route in books:
                 numeric[f"resid_{route}"] = _book_residual(books["trace"], books[route])
     for name, column in numeric.items():
         errors.flag(~np.isfinite(column), lambda i: ArithmeticError(f"{name} is not finite"))
 
-    missing = [None] * len(params)
+    def cells(*names: str):
+        return (numeric[n].tolist() if n in numeric else [None] * len(params) for n in names)
+
     columns = zip(
-        *(numeric[name].tolist() for name in ("W", "Q_H", "Q_C", "Sigma")),
+        *cells("W", "Q_H", "Q_C", "Sigma"),
         [eta if regime is Regime.ENGINE else None
          for eta, regime in zip(primary.eta.tolist(), primary.regime)],
-        *(numeric[name].tolist() for name in ("power", "xi_general", "xi_closed", "coherence_l1")),
+        *cells("power", "xi_general", "xi_closed", "coherence_l1"),
         [regime.value for regime in primary.regime],
-        *(numeric[name].tolist() if name in numeric else missing
-          for name in ("resid_closed", "resid_cf")),
+        *cells("resid_closed", "resid_cf"),
     )
     failures = [errors.first.get(i) for i in range(len(params))]
     return [

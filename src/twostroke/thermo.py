@@ -20,8 +20,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .linalg import Column, RowErrors, dagger, checked
-from .model import CycleArrays, CycleParams, center_gap, corner_gap, initial_state, populations
-from .propagators import PropagatorMode, evolved_states, propagator
+from .model import CycleArrays, CycleParams, center_gap, corner_gap, diagonal_states, populations
+from .propagators import PropagatorMode, evolved_states, unitaries
 
 DEAD_BAND = 1e-12
 FIRST_LAW_TOL = 1e-10
@@ -279,23 +279,24 @@ def characteristic_function(
     local Hamiltonians with the interaction-only unitary.  Both satisfy
     F(0, 0) = 1 and agree to roundoff.
     """
+    if form not in ("closed", "operator"):
+        raise ValueError(f"form must be 'closed' or 'operator', got {form!r}")
+    c = CycleArrays([p])
+    pops = populations(c)
     if form == "closed":
-        c = CycleArrays([p])
-        return complex(_cf_closed(c, populations(c))(lam, nu)[0])
-    if form == "operator":
-        return _cf_operator(p, lam, nu)
-    raise ValueError(f"form must be 'closed' or 'operator', got {form!r}")
+        return complex(_cf_closed(c, pops)(lam, nu)[0])
+    return complex(checked(_cf_operator, c, pops, lam, nu)[0])
 
 
 def _cf_closed(c: CycleArrays, pops: np.ndarray):
-    """F(lambda, nu) of every row, as a function of scalar lambda and nu."""
+    """F(lambda, nu) of every row, as a function of lambda and nu (scalars or (N,))."""
     p_gg, p_ge, p_eg, p_ee = pops.T
     xs, sin2 = _transition_weights(c)
     corner_stay = 1.0 - xs          # |theta_+|^2 by unitarity of the corner block
     cos2 = np.cos(0.5 * c.kappa * c.tau) ** 2
     flat = corner_stay * (p_gg + p_ee) + cos2 * (p_ge + p_eg)
 
-    def f(lam: float, nu: float) -> np.ndarray:
+    def f(lam, nu) -> np.ndarray:
         u = np.cos(c.eps_a * (lam - nu)) - 1j * np.sin(c.eps_a * (lam - nu))
         v = np.cos(c.eps_b * lam) - 1j * np.sin(c.eps_b * lam)
         return (
@@ -307,38 +308,20 @@ def _cf_closed(c: CycleArrays, pops: np.ndarray):
     return f
 
 
-def _cf_operator(p: CycleParams, lam: float, nu: float) -> complex:
-    u = propagator(p, PropagatorMode.INTERACTION_ONLY)
-    rho0 = initial_state(p)
-    e_a, e_b = (e[0] for e in _local_levels(CycleArrays([p])))
+def _cf_operator(c: CycleArrays, pops: np.ndarray, lam, nu, errors: RowErrors) -> np.ndarray:
+    """F(lambda, nu) of every row as the defining trace tr(U† e^{iA} U e^{-iA} rho0),
+    A = (lambda - nu) h_a + lambda h_b; lambda and nu are scalars or of shape (N,)."""
+    u = unitaries(c, PropagatorMode.INTERACTION_ONLY, errors)
+    e_a, e_b = _local_levels(c)
+    lam, nu = np.reshape(lam, (-1, 1)), np.reshape(nu, (-1, 1))
     phases = np.exp(1j * ((lam - nu) * e_a + lam * e_b))
-    conjugated = dagger(u) @ np.diag(phases) @ u @ np.diag(np.conj(phases))
-    return complex(np.trace(conjugated @ rho0))
+    conjugated = dagger(u) @ diagonal_states(phases) @ u @ diagonal_states(np.conj(phases))
+    return np.trace(conjugated @ diagonal_states(pops), axis1=-2, axis2=-1)
 
 
-def _richardson_first(f, h: float):
-    def central(step):
-        return (f(step) - f(-step)) / (2.0 * step)
-
-    return (4.0 * central(0.5 * h) - central(h)) / 3.0
-
-
-def _richardson_second(f, h: float):
-    f0 = f(0.0)
-
-    def central(step):
-        return (f(step) - 2.0 * f0 + f(-step)) / step**2
-
-    return (4.0 * central(0.5 * h) - central(h)) / 3.0
-
-
-def _richardson_mixed(f, h: float):
-    def central(step):
-        return (
-            f(step, step) - f(step, -step) - f(-step, step) + f(-step, -step)
-        ) / (4.0 * step**2)
-
-    return (4.0 * central(0.5 * h) - central(h)) / 3.0
+def _richardson(central) -> np.ndarray:
+    """One Richardson refinement of the central stencil `central(step)` at CF_STEP."""
+    return (4.0 * central(0.5 * CF_STEP) - central(CF_STEP)) / 3.0
 
 
 def _real_moment(raw: np.ndarray, prefactor: complex, label: str, errors: RowErrors) -> np.ndarray:
@@ -353,7 +336,7 @@ def _real_moment(raw: np.ndarray, prefactor: complex, label: str, errors: RowErr
 
 
 def cf_moments(
-    c: CycleArrays, pops: np.ndarray, n: int, m: int, step: float, errors: RowErrors
+    c: CycleArrays, pops: np.ndarray, n: int, m: int, errors: RowErrors
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(<W>, <Q_H>, <W^n Q_H^m>) of every row from central finite differences of F.
 
@@ -363,36 +346,35 @@ def cf_moments(
     if n < 0 or m < 0 or not 1 <= n + m <= 2:
         raise ValueError(f"moment order (n, m) must satisfy 1 <= n+m <= 2, got {(n, m)}")
     f = _cf_closed(c, pops)
+    central = {  # label, prefactor and central stencil of each moment, by order
+        (1, 0): ("<W>", -1j, lambda s: (f(s, 0.0) - f(-s, 0.0)) / (2.0 * s)),
+        (0, 1): ("<Q_H>", -1j, lambda s: (f(0.0, s) - f(0.0, -s)) / (2.0 * s)),
+        (2, 0): ("<W^2>", -1.0, lambda s: (f(s, 0.0) - 2.0 * f(0.0, 0.0) + f(-s, 0.0)) / s**2),
+        (0, 2): ("<Q_H^2>", -1.0, lambda s: (f(0.0, s) - 2.0 * f(0.0, 0.0) + f(0.0, -s)) / s**2),
+        (1, 1): ("<W Q_H>", -1.0,
+                 lambda s: (f(s, s) - f(s, -s) - f(-s, s) + f(-s, -s)) / (4.0 * s**2)),
+    }
 
-    w_mean = _real_moment(_richardson_first(lambda s: f(s, 0.0), step), -1j, "<W>", errors)
-    qh_mean = _real_moment(_richardson_first(lambda s: f(0.0, s), step), -1j, "<Q_H>", errors)
+    def moment(order):
+        label, prefactor, stencil = central[order]
+        return _real_moment(_richardson(stencil), prefactor, label, errors)
 
-    if (n, m) == (1, 0):
-        value = w_mean
-    elif (n, m) == (0, 1):
-        value = qh_mean
-    elif (n, m) == (2, 0):
-        value = _real_moment(_richardson_second(lambda s: f(s, 0.0), step), -1.0, "<W^2>", errors)
-    elif (n, m) == (0, 2):
-        value = _real_moment(_richardson_second(lambda s: f(0.0, s), step), -1.0, "<Q_H^2>", errors)
-    else:
-        value = _real_moment(_richardson_mixed(f, step), -1.0, "<W Q_H>", errors)
+    w_mean, qh_mean = moment((1, 0)), moment((0, 1))
+    value = w_mean if (n, m) == (1, 0) else qh_mean if (n, m) == (0, 1) else moment((n, m))
     return w_mean, qh_mean, value
 
 
-def moments_from_cf(
-    p: CycleParams, n: int, m: int, step: float = CF_STEP
-) -> CFMoments:
-    """<W^n Q_H^m> from central finite differences of F at the origin.
+def moments_from_cf(p: CycleParams, n: int, m: int) -> CFMoments:
+    """<W^n Q_H^m> from central finite differences of F at the origin, step CF_STEP.
 
     One Richardson refinement is applied on top of the central stencils; the
     imaginary residue of every returned moment is asserted small.
     """
     c = CycleArrays([p])
-    w_mean, qh_mean, value = checked(cf_moments, c, populations(c), n, m, step)
+    w_mean, qh_mean, value = checked(cf_moments, c, populations(c), n, m)
     return CFMoments(
-        lambda_step=step,
-        nu_step=step,
+        lambda_step=CF_STEP,
+        nu_step=CF_STEP,
         w_mean=float(w_mean[0]),
         qh_mean=float(qh_mean[0]),
         order=(n, m),
@@ -400,13 +382,7 @@ def moments_from_cf(
     )
 
 
-def cf_book(c: CycleArrays, pops: np.ndarray, step: float, errors: RowErrors) -> EnergyBook:
+def cf_book(c: CycleArrays, pops: np.ndarray, errors: RowErrors) -> EnergyBook:
     """Energetics with first moments from the characteristic function."""
-    w, q_hot, _ = cf_moments(c, pops, 1, 0, step, errors)
+    w, q_hot, _ = cf_moments(c, pops, 1, 0, errors)
     return _book(c, w, q_hot, -w - q_hot, "cf", errors)
-
-
-def energetics_cf(p: CycleParams, step: float = CF_STEP) -> EnergyBook:
-    """Energetics with first moments from the characteristic function."""
-    return _one_book(cf_book, p, step)
-

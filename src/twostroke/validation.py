@@ -17,18 +17,17 @@ import numpy as np
 
 from .linalg import checked
 from .model import SX, SY, CycleArrays, CycleParams, populations
-from .presets import PRESET_NAMES, figure_preset
+from .presets import PRESET_NAMES, engine_base, figure_preset
 from .propagators import PropagatorMode, align_global_phase, evolved_states, unitaries
-from .squeezing import flag_states, squeezing_stack, xi_closed_form, xi_closed_stack, xi_general
+from .squeezing import flag_states, squeezing_stack, xi_closed_form, xi_closed_stack
 from .sweep import SweepSpec, run_sweep, rows_to_csv
 from .thermo import (
-    CF_STEP,
     Regime,
+    _cf_closed,
+    _cf_operator,
     carnot_efficiency,
     cf_book,
-    characteristic_function,
     closed_book,
-    energetics_trace,
     otto_efficiency,
     trace_route,
 )
@@ -132,7 +131,7 @@ def check_route_equivalence() -> CheckResult:
     pops = populations(c)
     trace = checked(trace_route, c, pops, PropagatorMode.INTERACTION_ONLY)
     closed = checked(closed_book, c, pops)
-    cf = checked(cf_book, c, pops, CF_STEP)
+    cf = checked(cf_book, c, pops)
     worst_closed = 0.0
     worst_cf = 0.0
     for attr in ("w", "q_hot", "q_cold", "sigma"):
@@ -208,16 +207,12 @@ def check_regime_bands() -> CheckResult:
     expected = [Regime.REFRIGERATOR.value, Regime.ENGINE.value, Regime.ACCELERATOR.value]
 
     # engine membership at the engine operating point, over sampled times
-    engine_hits = 0
-    eta_missing = False
     samples = np.linspace(2.0, 58.0, 25)
-    for t in samples:
-        p = CycleParams(eps_a=1.0, eps_b=0.6, beta_a=1.0, beta_b=2.0,
-                        kappa=0.1, omega=0.5, tau=float(t))
-        book = energetics_trace(p, PropagatorMode.INTERACTION_ONLY)
-        if book.regime is Regime.ENGINE:
-            engine_hits += 1
-            eta_missing = eta_missing or book.eta is None
+    c = CycleArrays([replace(engine_base(0.1), tau=t) for t in samples.tolist()])
+    book = checked(trace_route, c, populations(c), PropagatorMode.INTERACTION_ONLY)
+    engine = book.regime == Regime.ENGINE
+    engine_hits = int(np.count_nonzero(engine))
+    eta_missing = bool(np.any(np.isnan(book.eta[engine])))
     elapsed = time.perf_counter() - start
     passed = (
         macro == expected
@@ -234,36 +229,32 @@ def check_regime_bands() -> CheckResult:
     return CheckResult("regime band structure", passed, detail, elapsed)
 
 
-def _grid_search_min_variance(rho: np.ndarray, angles: int = 10_000) -> float:
-    """Brute-force transverse-variance minimum: build the spin component at
-    every angle, square it, trace — no use of the closed-form sinusoid."""
-    phi = np.linspace(0.0, math.pi, angles, endpoint=False)
+def _squared_components(phi: np.ndarray) -> np.ndarray:
+    """(cos(phi) S_x + sin(phi) S_y)^2 at each angle, flattened to shape (angles, 16)."""
     s_phi = np.cos(phi)[:, None, None] * SX + np.sin(phi)[:, None, None] * SY
-    variances = np.einsum("aij,ajk,ki->a", s_phi, s_phi, rho).real
-    best = int(np.argmin(variances))
-    # golden-section polish around the best sample
-    step = math.pi / angles
-    lo, hi = phi[best] - step, phi[best] + step
+    return (s_phi @ s_phi).reshape(len(phi), 16)
 
-    def var_at(angle: float) -> float:
-        s = math.cos(angle) * SX + math.sin(angle) * SY
-        return float(np.trace(s @ s @ rho).real)
 
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = var_at(c), var_at(d)
-    for _ in range(60):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = var_at(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = var_at(d)
-    return min(float(variances[best]), fc, fd)
+def _grid_search_min_variance(states: np.ndarray) -> np.ndarray:
+    """Brute-force transverse-variance minimum of each state: tr(S_phi^2 rho) on
+    10,000 angles, then on 1,001 angles across the best cell — no use of the
+    closed-form sinusoid.
+
+    The coarse S_phi^2 stack is built once and each state is contracted against
+    it on its own, so no (states x angles) array is ever held.
+    """
+    phi = np.linspace(0.0, math.pi, 10_000, endpoint=False)
+    coarse = _squared_components(phi)
+    step = phi[1] - phi[0]
+    minima = np.empty(len(states))
+    for k, rho in enumerate(states):
+        # tr(S rho) = sum_ij S_ij rho_ji; einsum, not a threaded BLAS matrix-vector call
+        flat = rho.T.reshape(16)
+        variances = np.einsum("ai,i->a", coarse, flat).real
+        best = int(np.argmin(variances))
+        cell = _squared_components(np.linspace(phi[best] - step, phi[best] + step, 1001))
+        minima[k] = min(variances[best], float(np.min(np.einsum("ai,i->a", cell, flat).real)))
+    return minima
 
 
 def check_squeezing_sanity() -> CheckResult:
@@ -272,8 +263,7 @@ def check_squeezing_sanity() -> CheckResult:
     grid = reference_grid()
     problems = []
 
-    base = CycleParams(eps_a=1.0, eps_b=0.6, beta_a=1.0, beta_b=2.0,
-                       kappa=0.1, omega=0.5, tau=7.0)
+    base = replace(engine_base(0.1), tau=7.0)
     if xi_closed_form(replace(base, kappa=0.0)) != 1.0:
         problems.append("xi(kappa=0) != 1 exactly")
     if xi_closed_form(replace(base, tau=0.0)) != 1.0:
@@ -283,30 +273,25 @@ def check_squeezing_sanity() -> CheckResult:
     pops = populations(c)
     states = checked(evolved_states, c, pops, PropagatorMode.INTERACTION_ONLY)
     checked(flag_states, states)
-    worst_bound = max(
-        float(np.max(squeezing_stack(states)[0])) - 1.0,
-        float(np.max(xi_closed_stack(c, pops))) - 1.0,
-    )
+    xi = squeezing_stack(states)[0]
+    worst_bound = max(float(np.max(xi)) - 1.0, float(np.max(xi_closed_stack(c, pops))) - 1.0)
     if worst_bound > XI_BOUND_SLACK:
         problems.append(f"xi exceeds 1 by {worst_bound:.3e}")
 
     stride = max(1, len(grid) // 40)
-    worst_grid_search = 0.0
-    for rho in states[::stride]:
-        report = xi_general(rho)
-        brute = _grid_search_min_variance(rho)
-        worst_grid_search = max(worst_grid_search, abs(report.xi - 2.0 * brute))
+    brute = _grid_search_min_variance(states[::stride])
+    worst_grid_search = float(np.max(np.abs(xi[::stride] - 2.0 * brute)))
     if worst_grid_search > GRID_SEARCH_TOL:
         problems.append(f"grid-search mismatch {worst_grid_search:.3e}")
 
-    rng = np.random.default_rng(20240517)
-    worst_rotation = 0.0
-    for rho in states[:: max(1, len(grid) // 25)]:
-        xi = xi_general(rho).xi
-        theta = float(rng.uniform(0.0, 2.0 * math.pi))
-        rot = np.diag(np.exp(-1j * theta * np.array([1.0, 0.0, 0.0, -1.0])))
-        xi_rot = xi_general(rot @ rho @ np.conj(rot.T)).xi
-        worst_rotation = max(worst_rotation, abs(xi - xi_rot))
+    # rotations exp(-i theta S_z) by a random angle per state leave xi unchanged
+    stride = max(1, len(grid) // 25)
+    sampled = states[::stride]
+    theta = np.random.default_rng(20240517).uniform(0.0, 2.0 * math.pi, size=len(sampled))
+    phases = np.exp(-1j * theta[:, None] * np.array([1.0, 0.0, 0.0, -1.0]))
+    rotated = phases[:, :, None] * sampled * np.conj(phases)[:, None, :]
+    checked(flag_states, rotated)
+    worst_rotation = float(np.max(np.abs(xi[::stride] - squeezing_stack(rotated)[0])))
     if worst_rotation > ROTATION_TOL:
         problems.append(f"rotation invariance broken by {worst_rotation:.3e}")
 
@@ -351,14 +336,11 @@ def check_carnot_bound() -> CheckResult:
 
 
 def _finite_local_extrema(y: np.ndarray, find_min: bool) -> list[int]:
-    idx = []
-    for i in range(1, len(y) - 1):
-        a, b, c = y[i - 1], y[i], y[i + 1]
-        if not (np.isfinite(a) and np.isfinite(b) and np.isfinite(c)):
-            continue
-        if (b < a and b < c) if find_min else (b > a and b > c):
-            idx.append(i)
-    return idx
+    """Interior indices i with y[i] strictly below (or above) both finite neighbours."""
+    a, b, c = y[:-2], y[1:-1], y[2:]
+    finite = np.isfinite(a) & np.isfinite(b) & np.isfinite(c)
+    extreme = (b < a) & (b < c) if find_min else (b > a) & (b > c)
+    return (np.flatnonzero(finite & extreme) + 1).tolist()
 
 
 def _worst_step_distance(source: list[int], target: list[int]):
@@ -421,24 +403,22 @@ def check_extremum_alignment() -> CheckResult:
 def check_cf_health() -> CheckResult:
     """F(0,0) = 1 and the two characteristic-function forms agree."""
     start = time.perf_counter()
-    grid = reference_grid()
-    worst_unit = 0.0
-    for p in grid[::5]:
-        worst_unit = max(worst_unit, abs(characteristic_function(p, 0.0, 0.0) - 1.0))
+    c = CycleArrays(reference_grid()[::5])
+    worst_unit = float(np.max(np.abs(_cf_closed(c, populations(c))(0.0, 0.0) - 1.0)))
 
     rng = np.random.default_rng(987654321)
     anchors = [
-        CycleParams(1.0, 0.6, 1.0, 2.0, kappa=0.1, omega=0.5, tau=2.0),
+        replace(engine_base(0.1), tau=2.0),
         CycleParams(1.0, 0.5, 1.0, 2.0, kappa=1.0, omega=10.0, tau=1.0),
         CycleParams(1.0, 1.4, 1.0, 2.0, kappa=0.12, omega=1.2, tau=1.2),
     ]
-    worst_form = 0.0
-    for _ in range(100):
-        lam, nu = rng.uniform(-3.0, 3.0, size=2)
-        for p in anchors:
-            closed = characteristic_function(p, float(lam), float(nu), form="closed")
-            operator = characteristic_function(p, float(lam), float(nu), form="operator")
-            worst_form = max(worst_form, abs(closed - operator))
+    # 100 random (lambda, nu), each at every anchor
+    lam, nu = rng.uniform(-3.0, 3.0, size=(100, 2)).repeat(len(anchors), axis=0).T
+    c = CycleArrays(anchors * 100)
+    pops = populations(c)
+    closed = _cf_closed(c, pops)(lam, nu)
+    operator = checked(_cf_operator, c, pops, lam, nu)
+    worst_form = float(np.max(np.abs(closed - operator)))
     elapsed = time.perf_counter() - start
     passed = worst_unit < CF_UNIT_TOL and worst_form < CF_FORM_TOL
     detail = (
@@ -507,9 +487,7 @@ def check_determinism(specs: dict[str, SweepSpec] | None = None) -> CheckResult:
 
 
 def quick_determinism_spec() -> SweepSpec:
-    base = CycleParams(eps_a=1.0, eps_b=0.6, beta_a=1.0, beta_b=2.0,
-                       kappa=0.1, omega=0.5, tau=1.0)
-    return SweepSpec(base=base, variable="tau", start=0.0, stop=6.0, points=40)
+    return SweepSpec(base=engine_base(0.1), variable="tau", start=0.0, stop=6.0, points=40)
 
 
 def run_validation(quick: bool = True) -> list[CheckResult]:

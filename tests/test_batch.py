@@ -18,9 +18,8 @@ from twostroke.propagators import (
     unitaries,
 )
 from twostroke.squeezing import l1_coherence, xi_closed_form, xi_general
-from twostroke.sweep import SweepSpec, evaluate, evaluate_grid, rows_to_csv
+from twostroke.sweep import FULL_MODES, SweepSpec, evaluate, evaluate_grid, rows_to_csv
 from twostroke.thermo import (
-    CF_STEP,
     cf_book,
     closed_book,
     energetics_closed,
@@ -67,12 +66,27 @@ def test_scalar_api_reproduces_sweep_rows_bit_for_bit(mode):
         assert energetics_from_states(p, initial_state(p), rho, book.method) == book
         assert xi_general(rho).xi == row.xi_general
         assert l1_coherence(rho) == row.coherence_l1
-        assert xi_closed_form(p) == row.xi_closed
+        # the closed form describes the interaction-only evolution alone
+        assert row.xi_closed == (None if mode in FULL_MODES else xi_closed_form(p))
         if "closed" in spec.routes:
             closed = energetics_closed(p)
             fields = ("w", "q_hot", "q_cold", "sigma")
             assert row.resid_closed == max(
                 abs(getattr(book, f) - getattr(closed, f)) for f in fields)
+
+
+@pytest.mark.parametrize("mode", list(PropagatorMode))
+def test_xi_closed_is_blank_exactly_in_full_modes(mode):
+    spec = engine_spec(mode)
+    rows = evaluate_grid(spec, spec.grid())
+    assert all(row.error is None for row in rows)
+    header, *lines = rows_to_csv(rows).splitlines()
+    column = header.split(",").index("xi_closed")
+    cells = [line.split(",")[column] for line in lines]
+    if mode in FULL_MODES:
+        assert cells == [""] * len(rows)
+    else:
+        assert all(cell != "" for cell in cells)
 
 
 def test_overflowing_row_fails_instead_of_writing_nan():
@@ -120,7 +134,7 @@ def test_routes_and_oracle_agree_on_random_batches(params):
 
     trace = checked(trace_route, c, pops, PropagatorMode.INTERACTION_ONLY)
     closed = checked(closed_book, c, pops)
-    cf = checked(cf_book, c, pops, CF_STEP)
+    cf = checked(cf_book, c, pops)
     for field in ("w", "q_hot", "q_cold", "sigma"):
         t = getattr(trace, field)
         assert np.max(np.abs(t - getattr(closed, field))) < 1e-9

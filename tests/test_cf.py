@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
-from twostroke.model import CycleParams
+from twostroke.linalg import checked
+from twostroke.model import CycleArrays, CycleParams, populations
 from twostroke.propagators import PropagatorMode
 from twostroke.thermo import (
     NumericalConsistencyError,
+    _cf_operator,
     characteristic_function,
     energetics_trace,
     moments_from_cf,
 )
+from twostroke.validation import reference_grid
 
 
 def params(**overrides):
@@ -46,6 +49,15 @@ def test_forms_agree_at_random_arguments(rng):
         closed = characteristic_function(p, float(lam), float(nu), "closed")
         operator = characteristic_function(p, float(lam), float(nu), "operator")
         assert abs(closed - operator) < 1e-10
+
+
+def test_stacked_operator_form_matches_one_cycle_calls_bit_for_bit(rng):
+    grid = reference_grid()[::7]
+    lam, nu = rng.uniform(-3.0, 3.0, size=(2, len(grid)))
+    c = CycleArrays(grid)
+    stacked = checked(_cf_operator, c, populations(c), lam, nu)
+    for p, value, l, n in zip(grid, stacked.tolist(), lam.tolist(), nu.tolist()):
+        assert characteristic_function(p, l, n, "operator") == value
 
 
 def test_conjugation_symmetry(rng):

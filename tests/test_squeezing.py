@@ -13,7 +13,7 @@ from twostroke.squeezing import (
     xi_closed_form,
     xi_general,
 )
-from twostroke.validation import reference_grid
+from twostroke.validation import _grid_search_min_variance, reference_grid
 
 
 def params(**overrides):
@@ -34,7 +34,8 @@ def brute_force_min_variance(rho, angles=10_000):
         return float(np.trace(s @ s @ rho).real)
 
     grid = np.linspace(0.0, math.pi, angles, endpoint=False)
-    values = [var_at(phi) for phi in grid]
+    s = np.cos(grid)[:, None, None] * SX + np.sin(grid)[:, None, None] * SY
+    values = np.einsum("aij,ji->a", s @ s, rho).real
     best = int(np.argmin(values))
     step = math.pi / angles
     result = minimize_scalar(
@@ -120,6 +121,19 @@ def test_grid_search_oracle_matches_analytic_minimum(rng):
         rho = evolved(p)
         report = xi_general(rho)
         assert abs(report.delta_min - brute_force_min_variance(rho)) < 1e-9
+
+
+def test_validation_grid_search_matches_analytic_minimum():
+    states = [evolved(params(tau=t)) for t in (0.7, 3.1, 9.4)]
+    # a rotation about z puts the optimal angle just below pi, i.e. in the
+    # coarse grid's wrap-around cell around phi = 0
+    rho = evolved(params(tau=7.0))
+    theta = (math.pi - 1e-5) - xi_general(rho).phi_opt
+    rot = np.diag(np.exp(-1j * theta * np.array([1.0, 0.0, 0.0, -1.0])))
+    states.append(rot @ rho @ rot.conj().T)
+    assert xi_general(states[-1]).phi_opt > math.pi - 1e-4
+    for rho, brute in zip(states, _grid_search_min_variance(np.array(states))):
+        assert abs(xi_general(rho).delta_min - brute) < 1e-12
 
 
 def test_minimized_variance_is_a_lower_bound():

@@ -359,3 +359,20 @@ def test_cli_import_leaves_process_pool_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_finite_local_extrema_match_a_pointwise_scan(rng):
+    def scan(y, find_min):
+        idx = []
+        for i in range(1, len(y) - 1):
+            a, b, c = y[i - 1], y[i], y[i + 1]
+            if np.isfinite(a) and np.isfinite(b) and np.isfinite(c):
+                if (b < a and b < c) if find_min else (b > a and b > c):
+                    idx.append(i)
+        return idx
+
+    for _ in range(20):
+        y = rng.integers(0, 4, size=30).astype(float)  # repeated values make plateaus
+        y[rng.random(30) < 0.15] = rng.choice([np.nan, np.inf, -np.inf])
+        for find_min in (True, False):
+            assert validation._finite_local_extrema(y, find_min) == scan(y, find_min)

@@ -35,7 +35,7 @@ from .propagators import (
 )
 from .squeezing import SqueezeReport, l1_coherence, variance_orthogonal, xi_closed_form, xi_general
 from .sweep import SweepRow, SweepSpec, run_sweep, write_csv
-from .presets import FigurePreset, figure_preset
+from .presets import figure_preset
 from .thermo import (
     CFMoments,
     EnergyBook,
@@ -54,7 +54,6 @@ __all__ = [
     "CFMoments",
     "CycleParams",
     "EnergyBook",
-    "FigurePreset",
     "PropagatorMode",
     "Regime",
     "SqueezeReport",

@@ -125,8 +125,9 @@ def _cmd_sweep(args) -> int:
         series.append(("main", spec))
     if args.preset is not None:
         try:
-            preset = figure_preset(args.preset)
-            series.extend((label, replace(spec, **overrides)) for label, spec in preset.series)
+            series.extend(
+                (label, replace(spec, **overrides)) for label, spec in figure_preset(args.preset)
+            )
         except ValueError as exc:
             raise UsageError(str(exc)) from None
     if out is None:
@@ -144,9 +145,15 @@ def _cmd_sweep(args) -> int:
         failures += bad
         status = "ok" if bad == 0 else f"{bad} failed rows"
         print(f"wrote {path} ({len(rows)} rows, {status})")
+        failed: dict[str, list[float]] = {}
         for row in rows:
             if row.error is not None:
-                print(f"  row {row.swept_value!r}: {row.error}", file=sys.stderr)
+                failed.setdefault(row.error, []).append(row.swept_value)
+        for error, values in failed.items():
+            print(
+                f"  {len(values)} rows, first at {spec.variable} = {values[0]!r}: {error}",
+                file=sys.stderr,
+            )
     if failures:
         print(f"{failures} rows failed", file=sys.stderr)
         return 1

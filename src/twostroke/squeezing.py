@@ -35,14 +35,12 @@ class SqueezeReport:
     phi_opt       optimal quadrature angle in [0, pi)
     delta_min     minimized transverse variance (xi = 2*delta_min for N = 2)
     coherence_l1  l1 coherence in the energy (computational) basis
-    msd_ok        mean spin direction check passed (<S_x>, <S_y> vanish)
     """
 
     xi: float
     phi_opt: float
     delta_min: float
     coherence_l1: float
-    msd_ok: bool
 
 
 def _expect(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -124,7 +122,6 @@ def xi_general(rho) -> SqueezeReport:
         phi_opt=float(phi_opt[0]),
         delta_min=float(delta_min[0]),
         coherence_l1=float(coherence_stack(stack)[0]),
-        msd_ok=True,
     )
 
 

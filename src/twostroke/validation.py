@@ -17,10 +17,10 @@ import numpy as np
 
 from .linalg import checked
 from .model import SX, SY, CycleArrays, CycleParams, populations
-from .presets import PRESET_NAMES, engine_base, figure_preset
+from .presets import PRESETS, STRONG_COUPLING, engine_base, figure_preset, scaled_base
 from .propagators import PropagatorMode, align_global_phase, evolved_states, unitaries
 from .squeezing import flag_states, squeezing_stack, xi_closed_form, xi_closed_stack
-from .sweep import SweepSpec, run_sweep, rows_to_csv
+from .sweep import SweepSpec, apply_variable, rows_to_csv, run_sweep
 from .thermo import (
     Regime,
     _cf_closed,
@@ -57,41 +57,22 @@ class CheckResult:
 
 @functools.cache
 def reference_grid() -> tuple[CycleParams, ...]:
-    """Deterministic grid of >= 500 parameter points across figure ranges."""
-    points: list[CycleParams] = []
-    # gap-ratio band at strong coupling (regime map / energetics comparison)
-    for r in np.linspace(0.05, 2.0, 100):
-        points.append(
-            CycleParams(eps_a=1.0, eps_b=float(r), beta_a=1.0, beta_b=2.0,
-                        kappa=1.0, omega=10.0, tau=1.0)
-        )
-    # gap-ratio bands at weak coupling, controls scaling with the coupling
-    for kappa in (0.10, 0.12):
-        for r in np.linspace(0.05, 2.0, 60):
-            points.append(
-                CycleParams(eps_a=1.0, eps_b=float(r), beta_a=1.0, beta_b=2.0,
-                            kappa=kappa, omega=10.0 * kappa, tau=10.0 * kappa)
-            )
-    # interaction-time bands at the engine operating point
-    for kappa in (0.10, 0.12):
-        for t in np.linspace(0.0, 60.0, 100):
-            points.append(
-                CycleParams(eps_a=1.0, eps_b=0.6, beta_a=1.0, beta_b=2.0,
-                            kappa=kappa, omega=0.5, tau=float(t))
-            )
-    # gap-ratio band for the free-Hamiltonian comparison
-    for r in np.linspace(0.05, 2.0, 60):
-        points.append(
-            CycleParams(eps_a=1.0, eps_b=float(r), beta_a=1.0, beta_b=2.0,
-                        kappa=0.1, omega=1.0, tau=0.1)
-        )
-    # short-time detail at strong coupling
-    for t in np.linspace(0.0, 2.0, 40):
-        points.append(
-            CycleParams(eps_a=1.0, eps_b=0.5, beta_a=1.0, beta_b=2.0,
-                        kappa=1.0, omega=10.0, tau=float(t))
-        )
-    return tuple(points)
+    """Deterministic grid of 520 parameter points sampled from the figure sweeps."""
+    fig2a, fig2b, fig3a, fig9 = (
+        dict(figure_preset(name)) for name in ("fig2a", "fig2b", "fig3a", "fig9")
+    )
+    bands = [
+        replace(fig2a["main"], points=100),  # regime map at strong coupling
+        *(replace(spec, points=60) for spec in fig2b.values()),  # controls scale with kappa
+        *(replace(spec, points=100) for spec in fig3a.values()),  # engine point over time
+        replace(fig9["interaction"], points=60),  # free-Hamiltonian comparison
+        SweepSpec(STRONG_COUPLING, "tau", 0.0, 2.0, 40),  # short times at strong coupling
+    ]
+    return tuple(
+        apply_variable(spec.base, spec.variable, value)
+        for spec in bands
+        for value in spec.grid().tolist()
+    )
 
 
 def check_propagator_equivalence() -> CheckResult:
@@ -196,8 +177,7 @@ def check_regime_bands() -> CheckResult:
     width rule but must stay tiny in total.
     """
     start = time.perf_counter()
-    preset = figure_preset("fig2a")
-    rows = run_sweep(preset.series[0][1])
+    rows = run_sweep(figure_preset("fig2a")[0][1])
     errors = [r for r in rows if r.error is not None]
     labels = [r.regime for r in rows if r.error is None]
     runs = _label_runs(labels)
@@ -317,13 +297,13 @@ def check_carnot_bound() -> CheckResult:
     worst_excess = float(np.max(excess)) if engine_points else -math.inf
 
     # supremum of eta over the engine-figure time grid, vs the gap-ratio line
-    preset = figure_preset("fig4a")
+    series = figure_preset("fig4a")
     sup_eta = {}
-    for label, spec in preset.series:
+    for label, spec in series:
         rows = run_sweep(spec)
         etas = [r.eta for r in rows if r.eta is not None]
         sup_eta[label] = max(etas) if etas else float("nan")
-    otto = otto_efficiency(preset.series[0][1].base)
+    otto = otto_efficiency(series[0][1].base)
     elapsed = time.perf_counter() - start
     passed = engine_points > 0 and worst_excess <= CARNOT_SLACK
     detail = (
@@ -366,10 +346,9 @@ def check_extremum_alignment() -> CheckResult:
     the diagnostics below report the alignments that do hold.
     """
     start = time.perf_counter()
-    preset = figure_preset("fig3a")
     per_series = []
     passed = True
-    for label, spec in preset.series:
+    for label, spec in figure_preset("fig3a"):
         rows = run_sweep(spec)
         xi = np.array([r.xi_general if r.xi_general is not None else np.nan for r in rows])
         coh = np.array([r.coherence_l1 if r.coherence_l1 is not None else np.nan for r in rows])
@@ -409,8 +388,8 @@ def check_cf_health() -> CheckResult:
     rng = np.random.default_rng(987654321)
     anchors = [
         replace(engine_base(0.1), tau=2.0),
-        CycleParams(1.0, 0.5, 1.0, 2.0, kappa=1.0, omega=10.0, tau=1.0),
-        CycleParams(1.0, 1.4, 1.0, 2.0, kappa=0.12, omega=1.2, tau=1.2),
+        STRONG_COUPLING,
+        replace(scaled_base(0.12), eps_b=1.4),
     ]
     # 100 random (lambda, nu), each at every anchor
     lam, nu = rng.uniform(-3.0, 3.0, size=(100, 2)).repeat(len(anchors), axis=0).T
@@ -437,8 +416,8 @@ def preset_sweeps() -> dict[str, SweepSpec]:
     coupling, and fig10's interaction series is fig2a).
     """
     labels: dict[SweepSpec, list[str]] = {}
-    for name in PRESET_NAMES:
-        for label, spec in figure_preset(name).series:
+    for name, series in PRESETS.items():
+        for label, spec in series:
             labels.setdefault(spec, []).append(f"{name}/{label}")
     return {"=".join(names): spec for spec, names in labels.items()}
 
@@ -486,8 +465,7 @@ def check_determinism(specs: dict[str, SweepSpec] | None = None) -> CheckResult:
     return CheckResult("determinism", not mismatches, detail, elapsed)
 
 
-def quick_determinism_spec() -> SweepSpec:
-    return SweepSpec(base=engine_base(0.1), variable="tau", start=0.0, stop=6.0, points=40)
+QUICK_DETERMINISM_SPEC = SweepSpec(engine_base(0.1), "tau", 0.0, 6.0, 40)
 
 
 def run_validation(quick: bool = True) -> list[CheckResult]:
@@ -506,5 +484,5 @@ def run_validation(quick: bool = True) -> list[CheckResult]:
         check_squeezing_sanity(),
         check_carnot_bound(),
         check_cf_health(),
-        check_determinism({"quick": quick_determinism_spec()} if quick else None),
+        check_determinism({"quick": QUICK_DETERMINISM_SPEC} if quick else None),
     ]

@@ -52,7 +52,6 @@ def test_product_thermal_state_is_unsqueezed():
     assert report.xi == pytest.approx(1.0, abs=1e-12)
     assert report.delta_min == pytest.approx(0.5, abs=1e-12)
     assert report.coherence_l1 == 0.0
-    assert report.msd_ok
 
 
 def test_no_twisting_no_squeezing():

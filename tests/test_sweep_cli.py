@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -163,9 +164,9 @@ def test_pool_width_capped_at_grid_size(monkeypatch):
 
 def test_preset_names_all_build():
     for name in PRESET_NAMES:
-        preset = figure_preset(name)
-        assert preset.series
-        for _, spec in preset.series:
+        series = figure_preset(name)
+        assert series
+        for _, spec in series:
             assert spec.points >= 2
 
 
@@ -175,18 +176,23 @@ def test_unknown_preset_lists_valid_names():
 
 
 def test_engine_time_preset_has_two_couplings():
-    preset = figure_preset("fig3a")
-    kappas = sorted(spec.base.kappa for _, spec in preset.series)
+    series = figure_preset("fig3a")
+    kappas = sorted(spec.base.kappa for _, spec in series)
     assert kappas == [0.10, 0.12]
-    for _, spec in preset.series:
+    for _, spec in series:
         assert spec.variable == "tau"
         assert spec.base.omega == 0.5
         assert spec.base.eps_b == pytest.approx(0.6)
 
 
+def test_time_axis_presets_share_one_series():
+    shared = figure_preset("fig3a")
+    for name in ("fig3b", "fig4a", "fig4b", "fig5"):
+        assert figure_preset(name) is shared
+
+
 def test_scaled_controls_preset():
-    preset = figure_preset("fig2b")
-    for label, spec in preset.series:
+    for label, spec in figure_preset("fig2b"):
         assert spec.variable == "eps_ratio"
         assert spec.base.omega == pytest.approx(10.0 * spec.base.kappa)
         assert spec.base.tau == pytest.approx(10.0 * spec.base.kappa)
@@ -194,17 +200,22 @@ def test_scaled_controls_preset():
 
 def test_mode_comparison_presets():
     for name in ("fig9", "fig10"):
-        preset = figure_preset(name)
-        modes = {spec.mode for _, spec in preset.series}
+        modes = {spec.mode for _, spec in figure_preset(name)}
         assert modes == {PropagatorMode.INTERACTION_ONLY, PropagatorMode.FULL}
 
 
 def test_fig9_parameters():
-    preset = figure_preset("fig9")
-    for _, spec in preset.series:
+    for _, spec in figure_preset("fig9"):
         assert spec.base.kappa == pytest.approx(0.1)
         assert spec.base.omega == pytest.approx(1.0)
         assert spec.base.tau == pytest.approx(0.1)
+
+
+def test_reference_grid_is_pinned():
+    # the digest pins every bit of the 520 points the validation checks run on
+    grid = validation.reference_grid()
+    assert len(grid) == 520
+    assert hashlib.md5(repr(grid).encode()).hexdigest() == "7c3df15d0d6bf352cf1b82120c9c2d38"
 
 
 # --- determinism check --------------------------------------------------------------------
@@ -224,7 +235,7 @@ def test_preset_sweeps_hold_every_series_once():
     labels = [label for key in sweeps for label in key.split("=")]
     assert len(set(labels)) == len(labels)
     for name in PRESET_NAMES:
-        for label, spec in figure_preset(name).series:
+        for label, spec in figure_preset(name):
             key = next(key for key in sweeps if f"{name}/{label}" in key.split("="))
             assert sweeps[key] == spec
     # the five time-axis figures share one sweep per coupling; fig10/interaction is fig2a
@@ -350,6 +361,16 @@ def test_cli_reports_row_failures(tmp_path, capsys):
     assert code == 1
     captured = capsys.readouterr()
     assert "failed" in captured.err
+
+    # every row of a degenerate cycle fails with one message: one grouped line
+    degenerate = CONFIG.replace("kappa = 0.1", "kappa = 0.0").replace("omega = 0.5", "omega = 0.0")
+    config.write_text(degenerate)
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 1
+    errors = capsys.readouterr().err.splitlines()
+    assert errors == [
+        "  9 rows, first at tau = 0.0: kappa and omega cannot both vanish (degenerate cycle)",
+        "9 rows failed",
+    ]
 
 
 def test_cli_import_leaves_process_pool_unloaded():

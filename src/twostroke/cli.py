@@ -12,7 +12,7 @@ from pathlib import Path
 from .model import CYCLE_FIELDS, CycleParams
 from .presets import PRESET_NAMES, figure_preset
 from .propagators import PropagatorMode
-from .sweep import ROUTES, SweepSpec, failure_count, run_sweep, write_csv
+from .sweep import ROUTES, SweepRow, SweepSpec, failure_count, run_sweep, write_csv
 from .validation import run_validation
 
 _MODE_NAMES = {mode.value: mode for mode in PropagatorMode}
@@ -145,15 +145,14 @@ def _cmd_sweep(args) -> int:
         failures += bad
         status = "ok" if bad == 0 else f"{bad} failed rows"
         print(f"wrote {path} ({len(rows)} rows, {status})")
-        failed: dict[str, list[float]] = {}
+        failed: dict[str, list[SweepRow]] = {}
         for row in rows:
-            if row.error is not None:
-                failed.setdefault(row.error, []).append(row.swept_value)
-        for error, values in failed.items():
-            print(
-                f"  {len(values)} rows, first at {spec.variable} = {values[0]!r}: {error}",
-                file=sys.stderr,
-            )
+            if row.cause is not None:
+                failed.setdefault(row.cause, []).append(row)
+        for group in failed.values():
+            first = group[0]
+            print(f"  {len(group)} rows, first at {spec.variable} = {first.swept_value!r}: "
+                  f"{first.error}", file=sys.stderr)
     if failures:
         print(f"{failures} rows failed", file=sys.stderr)
         return 1

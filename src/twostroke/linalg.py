@@ -9,7 +9,7 @@ Batch code reports per-row failures through `RowErrors`, so one bad row of a
 stack never stops its neighbours; the one-matrix functions raise instead.
 """
 
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -29,17 +29,21 @@ class RowErrors:
     """The first failure of each failing row of a batch, by row index.
 
     Each failure is kept as the exception the one-row public function raises
-    for that row, so a batch row and a scalar call report the same text.
+    for that row, so a batch row and a scalar call report the same text, and
+    with its cause: the message template, which holds none of the row's values.
     """
 
     def __init__(self):
         self.first: dict[int, Exception] = {}
+        self.cause: dict[int, str] = {}
 
-    def flag(self, bad, error: Callable[[int], Exception]) -> None:
-        """Record error(i) for every row i where `bad` holds and none is recorded yet."""
+    def flag(self, bad, message: str, *values, error=ValueError) -> None:
+        """Record `error` with `message` formatted by row i's `values` (arrays of
+        shape (N,)) for every row i where `bad` holds and none is recorded yet."""
         for i in np.flatnonzero(bad).tolist():
             if i not in self.first:
-                self.first[i] = error(i)
+                self.first[i] = error(message.format(*(float(v[i]) for v in values)))
+                self.cause[i] = message
 
 
 def checked(kernel, *args):

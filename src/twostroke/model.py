@@ -62,31 +62,34 @@ class CycleParams(_Gaps):
     tau: float
 
     def __post_init__(self):
-        for name in ("eps_a", "eps_b", "beta_a", "beta_b", "kappa", "omega", "tau"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        for name in ("eps_a", "eps_b", "beta_a", "beta_b"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
-        for name in ("kappa", "omega", "tau"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
-        if not self.beta_a < self.beta_b:
-            raise ValueError(
-                f"qubit a must be the hot one (beta_a < beta_b), got "
-                f"beta_a={self.beta_a!r}, beta_b={self.beta_b!r}"
-            )
+        for fields, test, message in CYCLE_RULES:
+            if not test(self):
+                raise ValueError(message.format(*(getattr(self, name) for name in fields)))
 
 
 CYCLE_FIELDS = tuple(f.name for f in fields(CycleParams))
 
+# The validity rules of a cycle in order of precedence, as (fields, test,
+# message): `test` takes a CycleParams, or a CycleArrays and holds elementwise,
+# and `message` is a template of the fields' values.
+CYCLE_RULES = (
+    *(((name,), lambda p, name=name: abs(getattr(p, name)) < math.inf,
+       f"{name} must be finite, got {{!r}}") for name in CYCLE_FIELDS),
+    *(((name,), lambda p, name=name: getattr(p, name) > 0.0,
+       f"{name} must be positive, got {{!r}}") for name in ("eps_a", "eps_b", "beta_a", "beta_b")),
+    *(((name,), lambda p, name=name: getattr(p, name) >= 0.0,
+       f"{name} must be nonnegative, got {{!r}}") for name in ("kappa", "omega", "tau")),
+    (("beta_a", "beta_b"), lambda p: p.beta_a < p.beta_b,
+     "qubit a must be the hot one (beta_a < beta_b), got beta_a={!r}, beta_b={!r}"),
+)
+
 
 class CycleArrays(_Gaps):
-    """N validated cycles as float64 arrays of shape (N,), one row per cycle.
+    """N cycles as float64 arrays of shape (N,), one row per cycle.
 
     The batch kernels of the package take this; every public one-cycle
-    function is the same kernel run on a single row.
+    function is the same kernel run on a single row.  Built from CycleParams
+    the rows are valid; built from columns they are checked by `flag_invalid`.
     """
 
     eps_a: np.ndarray
@@ -103,8 +106,15 @@ class CycleArrays(_Gaps):
         ).reshape(-1, len(CYCLE_FIELDS))
         # one contiguous array per field: a row's arithmetic must not depend
         # on the stride or position it has in its batch
-        for name, column in zip(CYCLE_FIELDS, np.ascontiguousarray(table.T)):
-            setattr(self, name, column)
+        self.__dict__.update(zip(CYCLE_FIELDS, np.ascontiguousarray(table.T)))
+
+    @classmethod
+    def from_columns(cls, **columns) -> "CycleArrays":
+        """Rows from one number or (N,) array per field, at least one an array."""
+        c = cls(())
+        arrays = np.broadcast_arrays(*(columns[name] for name in CYCLE_FIELDS))
+        c.__dict__.update(zip(CYCLE_FIELDS, np.array(arrays, dtype=float)))
+        return c
 
     def __len__(self) -> int:
         return len(self.tau)
@@ -149,9 +159,15 @@ SZ = 0.5 * (kron(SIGMA_Z, IDENTITY_2) + kron(IDENTITY_2, SIGMA_Z))
 _SX_SQUARED = SX @ SX
 
 
+def flag_invalid(c: CycleArrays, errors: RowErrors) -> None:
+    """Fail the rows that break a rule of CYCLE_RULES, each with its first broken rule."""
+    for names, test, message in CYCLE_RULES:
+        errors.flag(~test(c), message, *(getattr(c, name) for name in names))
+
+
 def flag_degenerate(kappa: np.ndarray, omega: np.ndarray, errors: RowErrors) -> None:
     """Fail the rows whose coupling vanishes entirely (kappa = omega = 0)."""
-    errors.flag((kappa == 0.0) & (omega == 0.0), lambda i: ValueError(DEGENERATE))
+    errors.flag((kappa == 0.0) & (omega == 0.0), DEGENERATE)
 
 
 def interaction_generators(kappa: np.ndarray, omega: np.ndarray, errors: RowErrors) -> np.ndarray:

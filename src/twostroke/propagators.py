@@ -131,7 +131,7 @@ def _oracle(c: CycleArrays, include_free: bool, errors: RowErrors) -> np.ndarray
     if include_free:
         h = h + free_generators(c)
     ok = hermitian_mask(h)
-    errors.flag(~ok, lambda i: ValueError(NOT_HERMITIAN))
+    errors.flag(~ok, NOT_HERMITIAN)
     return expm_stack(np.where(ok[:, None, None], h, 0.0), c.tau)
 
 
@@ -148,43 +148,33 @@ def unitaries(c: CycleArrays, mode: PropagatorMode, errors: RowErrors) -> np.nda
     raise ValueError(f"unknown propagator mode {mode!r}")
 
 
-def _one(kernel, p: CycleParams, *args) -> np.ndarray:
-    """A unitary kernel run on the single row `p`; raises that row's failure."""
-    return checked(kernel, CycleArrays([p]), *args)[0]
-
-
 def propagator_interaction_closed(p: CycleParams, variant: str = CORRECTED) -> np.ndarray:
     """Closed-form unitary for the interaction generator alone."""
     _check_variant(variant)
-    return _one(_closed, p, False, variant)
+    return checked(_closed, CycleArrays([p]), False, variant)[0]
 
 
 def propagator_full_closed(p: CycleParams, variant: str = CORRECTED) -> np.ndarray:
     """Closed-form unitary for the full generator (free part included)."""
     _check_variant(variant)
-    return _one(_closed, p, True, variant)
+    return checked(_closed, CycleArrays([p]), True, variant)[0]
 
 
 def propagator_oracle(p: CycleParams, include_free: bool) -> np.ndarray:
     """Ground-truth unitary: matrix exponential of the exact generator."""
-    return _one(_oracle, p, include_free)
+    return checked(_oracle, CycleArrays([p]), include_free)[0]
 
 
 def propagator(p: CycleParams, mode: PropagatorMode) -> np.ndarray:
     """Dispatch to the requested construction (closed forms are corrected)."""
-    return _one(unitaries, p, mode)
+    return checked(unitaries, CycleArrays([p]), mode)[0]
 
 
 def evolve_stack(rho0: np.ndarray, u: np.ndarray, errors: RowErrors) -> np.ndarray:
     """U rho U† row by row, failing rows whose state or unitary is unphysical
     (U unitary to EVOLVE_UNITARY_TOL)."""
-    errors.flag(
-        ~density_mask(rho0), lambda i: ValueError("rho0 is not a density matrix within tolerance")
-    )
-    errors.flag(
-        ~unitary_mask(u, EVOLVE_UNITARY_TOL),
-        lambda i: ValueError("u is not unitary within tolerance"),
-    )
+    errors.flag(~density_mask(rho0), "rho0 is not a density matrix within tolerance")
+    errors.flag(~unitary_mask(u, EVOLVE_UNITARY_TOL), "u is not unitary within tolerance")
     return u @ rho0 @ dagger(u)
 
 

@@ -53,22 +53,11 @@ def _expect(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 def flag_states(rho: np.ndarray, errors: RowErrors) -> None:
     """Fail the states that are unphysical or whose mean spin is not along z."""
-    errors.flag(
-        ~density_mask(rho), lambda i: ValueError("rho is not a density matrix within tolerance")
-    )
+    errors.flag(~density_mask(rho), "rho is not a density matrix within tolerance")
     sx_mean, sy_mean, sz_mean = (_expect(op, rho) for op in (SX, SY, SZ))
-    errors.flag(
-        np.abs(sx_mean) >= MSD_TOL,
-        lambda i: ValueError(f"mean spin is not along z: <S_x> = {float(sx_mean[i])!r}"),
-    )
-    errors.flag(
-        np.abs(sy_mean) >= MSD_TOL,
-        lambda i: ValueError(f"mean spin is not along z: <S_y> = {float(sy_mean[i])!r}"),
-    )
-    errors.flag(
-        np.abs(sz_mean) <= MEAN_SPIN_MIN,
-        lambda i: ValueError("mean spin direction undefined: <S_z> vanishes"),
-    )
+    errors.flag(np.abs(sx_mean) >= MSD_TOL, "mean spin is not along z: <S_x> = {!r}", sx_mean)
+    errors.flag(np.abs(sy_mean) >= MSD_TOL, "mean spin is not along z: <S_y> = {!r}", sy_mean)
+    errors.flag(np.abs(sz_mean) <= MEAN_SPIN_MIN, "mean spin direction undefined: <S_z> vanishes")
 
 
 def _msd_state(rho) -> np.ndarray:

@@ -8,13 +8,13 @@ byte-identical for any pool width.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .linalg import RowErrors
-from .model import CycleArrays, CycleParams, populations
+from .model import CYCLE_FIELDS, CycleArrays, CycleParams, flag_invalid, populations
 from .propagators import PropagatorMode, evolved_states
 from .squeezing import coherence_stack, flag_states, squeezing_stack, xi_closed_stack
 from .thermo import EnergyBook, Regime, cf_book, closed_book, trace_book
@@ -92,10 +92,11 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One evaluated grid point (numeric fields are None on failure)."""
+    """One evaluated grid point.  On failure the numeric fields are None, `error`
+    is the error text and `cause` its message template, without the row's values."""
 
     swept_value: float
-    params: CycleParams
+    params: Optional[CycleParams]
     w: Optional[float] = None
     q_hot: Optional[float] = None
     q_cold: Optional[float] = None
@@ -109,6 +110,7 @@ class SweepRow:
     resid_closed: Optional[float] = None
     resid_cf: Optional[float] = None
     error: Optional[str] = None
+    cause: Optional[str] = None
 
 
 def apply_variable(base: CycleParams, variable: str, value: float) -> CycleParams:
@@ -128,23 +130,22 @@ def _book_residual(primary: EnergyBook, other: EnergyBook) -> np.ndarray:
 
 def evaluate(
     values: Sequence[float],
-    params: Sequence[CycleParams],
+    c: CycleArrays,
     mode: PropagatorMode,
     routes: Sequence[str],
 ) -> list[SweepRow]:
-    """Evaluate the cycles `params` (swept values `values`) as one batch.
+    """Evaluate the cycles `c` (swept values `values`) as one batch.
 
     A failing row carries the error text the one-cycle public functions raise
-    for it; the other rows are unaffected.  A row whose arithmetic overflows
-    fails too, so no non-finite number reaches the output.  The closed and cf
-    routes read the cycle parameters and populations only, never the trace
-    route's unitary or evolved state, so their residuals stay an independent
-    cross-check.
+    for it (a row that breaks a rule of `CycleParams` has no `params`); the
+    other rows are unaffected.  A row whose arithmetic overflows fails too, so
+    no non-finite number reaches the output.  The closed and cf routes read
+    the cycle parameters and populations only, never the trace route's
+    unitary or evolved state, so their residuals stay an independent check.
     """
-    if not params:
-        return []
-    c = CycleArrays(params)
     errors = RowErrors()
+    flag_invalid(c, errors)
+    invalid = set(errors.first)
     # overflowing rows fail below instead of warning once per array operation
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         pops = populations(c)
@@ -175,10 +176,10 @@ def evaluate(
             if "trace" in books and route in books:
                 numeric[f"resid_{route}"] = _book_residual(books["trace"], books[route])
     for name, column in numeric.items():
-        errors.flag(~np.isfinite(column), lambda i: ArithmeticError(f"{name} is not finite"))
+        errors.flag(~np.isfinite(column), f"{name} is not finite", error=ArithmeticError)
 
     def cells(*names: str):
-        return (numeric[n].tolist() if n in numeric else [None] * len(params) for n in names)
+        return (numeric[n].tolist() if n in numeric else [None] * len(c) for n in names)
 
     columns = zip(
         *cells("W", "Q_H", "Q_C", "Sigma"),
@@ -188,35 +189,28 @@ def evaluate(
         [regime.value for regime in primary.regime],
         *cells("resid_closed", "resid_cf"),
     )
-    failures = [errors.first.get(i) for i in range(len(params))]
+    table = zip(*(getattr(c, name).tolist() for name in CYCLE_FIELDS))
+    params = [None if i in invalid else CycleParams(*row) for i, row in enumerate(table)]
     return [
-        SweepRow(value, p, *cells) if error is None
-        else SweepRow(swept_value=value, params=p, error=str(error))
-        for value, p, cells, error in zip(values, params, columns, failures)
+        SweepRow(value, p, *numbers) if i not in errors.first
+        else SweepRow(value, p, error=str(errors.first[i]), cause=errors.cause[i])
+        for i, (value, p, numbers) in enumerate(zip(values, params, columns))
     ]
 
 
 def evaluate_grid(spec: SweepSpec, values: np.ndarray) -> list[SweepRow]:
     """Evaluate grid values of `spec` in one batch, in grid order.
 
-    Values that make an invalid cycle fail their own row with the parameter
-    error; the rest are evaluated together.
+    The batch is `spec.base` with the swept values in one column; a row whose
+    value breaks a rule of the cycle shows `spec.base` as its parameters.
     """
-    rows: list[Optional[SweepRow]] = []
-    slots, good_values, good_params = [], [], []
-    for value in values.tolist():
-        try:
-            params = apply_variable(spec.base, spec.variable, value)
-        except ValueError as exc:
-            rows.append(SweepRow(swept_value=value, params=spec.base, error=str(exc)))
-            continue
-        slots.append(len(rows))
-        rows.append(None)
-        good_values.append(value)
-        good_params.append(params)
-    for slot, row in zip(slots, evaluate(good_values, good_params, spec.mode, spec.routes)):
-        rows[slot] = row
-    return rows
+    columns = asdict(spec.base)
+    if spec.variable == "eps_ratio":
+        columns["eps_b"] = values * spec.base.eps_a
+    else:
+        columns[spec.variable] = values
+    rows = evaluate(values.tolist(), CycleArrays.from_columns(**columns), spec.mode, spec.routes)
+    return [row if row.params is not None else replace(row, params=spec.base) for row in rows]
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:

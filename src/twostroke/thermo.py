@@ -110,8 +110,7 @@ def _regimes(
     """
     total = w + q_hot + q_cold
     errors.flag(
-        np.abs(total) > FIRST_LAW_TOL,
-        lambda i: ValueError(f"first-law violation: w + q_hot + q_cold = {float(total[i])!r}"),
+        np.abs(total) > FIRST_LAW_TOL, "first-law violation: w + q_hot + q_cold = {!r}", total
     )
     w, q_hot, q_cold = (np.where(np.abs(x) < DEAD_BAND, 0.0, x) for x in (w, q_hot, q_cold))
     regime = np.full(w.shape, Regime.OTHER, dtype=object)
@@ -169,12 +168,6 @@ def _book(
     )
 
 
-def _one_book(kernel, p: CycleParams, *args) -> EnergyBook:
-    """An energetics kernel run on the single row `p`; raises that row's failure."""
-    c = CycleArrays([p])
-    return checked(kernel, c, populations(c), *args).row(0)
-
-
 def _local_levels(c: CycleArrays) -> tuple[np.ndarray, np.ndarray]:
     """Diagonals of h_a x I and I x h_b for each row, each of shape (N, 4)."""
     zero = np.zeros(len(c))
@@ -223,7 +216,8 @@ def energetics_trace(
     p: CycleParams, mode: PropagatorMode = PropagatorMode.INTERACTION_ONLY
 ) -> EnergyBook:
     """Evolve the initial state with the requested propagator and take traces."""
-    return _one_book(trace_route, p, mode)
+    c = CycleArrays([p])
+    return checked(trace_route, c, populations(c), mode).row(0)
 
 
 def _transition_weights(c: CycleArrays) -> tuple[np.ndarray, np.ndarray]:
@@ -256,7 +250,8 @@ def closed_book(c: CycleArrays, pops: np.ndarray, errors: RowErrors) -> EnergyBo
 
 def energetics_closed(p: CycleParams) -> EnergyBook:
     """Closed-form energetics of the interaction-only evolution."""
-    return _one_book(closed_book, p)
+    c = CycleArrays([p])
+    return checked(closed_book, c, populations(c)).row(0)
 
 
 def closed_sigma_terms(p: CycleParams) -> tuple[float, float]:
@@ -326,12 +321,8 @@ def _richardson(central) -> np.ndarray:
 
 def _real_moment(raw: np.ndarray, prefactor: complex, label: str, errors: RowErrors) -> np.ndarray:
     value = prefactor * raw
-    errors.flag(
-        np.abs(value.imag) > CF_IMAG_TOL,
-        lambda i: NumericalConsistencyError(
-            f"moment {label} has imaginary residue {float(value.imag[i])!r}"
-        ),
-    )
+    errors.flag(np.abs(value.imag) > CF_IMAG_TOL, f"moment {label} has imaginary residue {{!r}}",
+                value.imag, error=NumericalConsistencyError)
     return value.real
 
 

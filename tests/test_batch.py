@@ -1,15 +1,16 @@
 """Array-at-a-time evaluation: chunking invariance, agreement with the
 one-cycle public functions, and cross-route properties over random batches."""
 
+import math
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from twostroke.linalg import checked
-from twostroke.model import CycleArrays, CycleParams, initial_state, populations
+from twostroke.model import CYCLE_FIELDS, CycleArrays, CycleParams, initial_state, populations
 from twostroke.propagators import (
     PropagatorMode,
     align_global_phase,
@@ -95,9 +96,9 @@ def test_overflowing_row_fails_instead_of_writing_nan():
     routes = ROUTES_OF_MODE[PropagatorMode.INTERACTION_ONLY]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rows = evaluate([0, 1], [huge, ok], PropagatorMode.INTERACTION_ONLY, routes)
+        rows = evaluate([0, 1], CycleArrays([huge, ok]), PropagatorMode.INTERACTION_ONLY, routes)
     assert rows[0].error == "xi_closed is not finite" and rows[0].xi_closed is None
-    assert rows[1] == evaluate([1], [ok], PropagatorMode.INTERACTION_ONLY, routes)[0]
+    assert rows[1] == evaluate([1], CycleArrays([ok]), PropagatorMode.INTERACTION_ONLY, routes)[0]
 
 
 # --- properties over random batches in the benchmark's parameter ranges -------------
@@ -144,22 +145,39 @@ def test_routes_and_oracle_agree_on_random_batches(params):
         assert np.max(np.abs(book.w + book.q_hot + book.q_cold)) <= 1e-12
 
 
+# Each breaks one rule of a batch's first cycle: kappa = omega = 0 passes
+# CycleParams but has no propagator; the others break a parameter rule.  The
+# batches have beta_a = 1 < beta_b <= 3, so beta_b = 1 makes the two equal.
+BREAKS = (
+    {"kappa": 0.0, "omega": 0.0},
+    {"tau": -1.0},
+    {"eps_b": 0.0},
+    {"eps_b": -0.5},
+    {"omega": math.nan},
+    {"beta_b": 1.0},
+    {"beta_a": 5.0},
+)
+
+
 @settings(max_examples=25, deadline=None)
-@given(batches, st.integers(min_value=0), st.sampled_from(list(PropagatorMode)))
-def test_invalid_row_fails_alone_with_the_scalar_error(params, position, mode):
-    # kappa = omega = 0 passes CycleParams but has no propagator
-    bad = replace(params[0], kappa=0.0, omega=0.0)
+@given(batches, st.integers(min_value=0), st.sampled_from(list(PropagatorMode)),
+       st.sampled_from(BREAKS))
+def test_invalid_row_fails_alone_with_the_scalar_error(params, position, mode, breaks):
+    bad = {**asdict(params[0]), **breaks}
     with pytest.raises(ValueError) as scalar:
-        energetics_trace(bad, mode)
+        energetics_trace(CycleParams(**bad), mode)
     at = position % (len(params) + 1)
+    table = [asdict(p) for p in params[:at]] + [bad] + [asdict(p) for p in params[at:]]
+    batch = CycleArrays.from_columns(
+        **{name: np.array([row[name] for row in table]) for name in CYCLE_FIELDS})
     routes = ROUTES_OF_MODE[mode]
-    rows = evaluate(list(range(len(params) + 1)), params[:at] + [bad] + params[at:], mode, routes)
+    rows = evaluate(list(range(len(table))), batch, mode, routes)
     assert rows[at].error == str(scalar.value)
-    assert rows[at].w is None
-    clean = evaluate(list(range(len(params))), params, mode, routes)
+    assert rows[at].w is None and rows[at].cause is not None
+    clean = evaluate(list(range(len(params))), CycleArrays(params), mode, routes)
     assert [replace(r, swept_value=0) for r in rows[:at] + rows[at + 1:]] == [
         replace(r, swept_value=0) for r in clean]
     # each row of a batch equals the same cycle evaluated on its own
     for i, p in enumerate(params):
-        assert replace(evaluate([i], [p], mode, routes)[0], swept_value=0) == replace(
+        assert replace(evaluate([i], CycleArrays([p]), mode, routes)[0], swept_value=0) == replace(
             clean[i], swept_value=0)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,12 +24,15 @@ from twostroke.model import (
     thermal_populations,
     thermal_state,
 )
+from twostroke.propagators import PropagatorMode
+from twostroke.sweep import ROUTES, evaluate
+
+
+BASE = dict(eps_a=1.0, eps_b=0.6, beta_a=1.0, beta_b=2.0, kappa=0.1, omega=0.5, tau=2.0)
 
 
 def params(**overrides):
-    base = dict(eps_a=1.0, eps_b=0.6, beta_a=1.0, beta_b=2.0, kappa=0.1, omega=0.5, tau=2.0)
-    base.update(overrides)
-    return CycleParams(**base)
+    return CycleParams(**{**BASE, **overrides})
 
 
 # --- CycleParams validation --------------------------------------------------
@@ -51,6 +55,43 @@ def params(**overrides):
 def test_cycle_params_rejects_invalid(overrides):
     with pytest.raises(ValueError):
         params(**overrides)
+
+
+# One case per validity rule, in order of precedence, with the exact text
+# CycleParams has always raised for it.
+RULE_CASES = [
+    ({"eps_a": math.nan}, "eps_a must be finite, got nan"),
+    ({"eps_b": math.inf}, "eps_b must be finite, got inf"),
+    ({"beta_a": -math.inf}, "beta_a must be finite, got -inf"),
+    ({"beta_b": math.inf}, "beta_b must be finite, got inf"),
+    ({"kappa": math.nan}, "kappa must be finite, got nan"),
+    ({"omega": -math.inf}, "omega must be finite, got -inf"),
+    ({"tau": math.inf}, "tau must be finite, got inf"),
+    ({"eps_a": 0.0}, "eps_a must be positive, got 0.0"),
+    ({"eps_b": -0.4}, "eps_b must be positive, got -0.4"),
+    ({"beta_a": -0.5}, "beta_a must be positive, got -0.5"),
+    ({"beta_b": 0.0}, "beta_b must be positive, got 0.0"),
+    ({"kappa": -0.1}, "kappa must be nonnegative, got -0.1"),
+    ({"omega": -1.0}, "omega must be nonnegative, got -1.0"),
+    ({"tau": -2.0}, "tau must be nonnegative, got -2.0"),
+    ({"beta_a": 3.0}, "qubit a must be the hot one (beta_a < beta_b), got beta_a=3.0, beta_b=2.0"),
+    # two broken rules: finiteness comes before positivity
+    ({"eps_a": -1.0, "tau": math.nan}, "tau must be finite, got nan"),
+]
+VALUE = re.compile(r"(?<=[ =])(nan|-?inf|-?\d+\.\d+)(?=,|$)")
+
+
+@pytest.mark.parametrize("overrides, message", RULE_CASES)
+def test_one_cycle_and_a_column_batch_break_the_same_rule(overrides, message):
+    with pytest.raises(ValueError) as scalar:
+        params(**overrides)
+    assert str(scalar.value) == message
+    columns = {name: np.array([value]) for name, value in {**BASE, **overrides}.items()}
+    batch = CycleArrays.from_columns(**columns)
+    row, = evaluate([0.0], batch, PropagatorMode.INTERACTION_ONLY, ROUTES)
+    assert row.error == message and row.params is None and row.w is None
+    # the cause is the message with its values taken out
+    assert row.cause == VALUE.sub("{!r}", message)
 
 
 def test_cycle_params_derived_fields():

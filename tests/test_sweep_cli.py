@@ -354,13 +354,18 @@ def test_cli_rejects_interaction_routes_in_full_modes(tmp_path, capsys):
 
 
 def test_cli_reports_row_failures(tmp_path, capsys):
+    # an invalid range fails row by row with one cause: one grouped line
     config = tmp_path / "run.ini"
-    config.write_text(CONFIG.replace("start = 0.0", "start = -2.0"))
     out = tmp_path / "rows.csv"
-    code = main(["sweep", "--config", str(config), "--out", str(out)])
-    assert code == 1
-    captured = capsys.readouterr()
-    assert "failed" in captured.err
+    from_minus_two = CONFIG.replace("start = 0.0", "start = -2.0")
+    groups = {
+        "tau": "  3 rows, first at tau = -2.0: tau must be nonnegative, got -2.0",
+        "eps_ratio": "  3 rows, first at eps_ratio = -2.0: eps_b must be positive, got -2.0",
+    }
+    for variable, group in groups.items():
+        config.write_text(from_minus_two.replace("variable = tau", f"variable = {variable}"))
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [group, "3 rows failed"]
 
     # every row of a degenerate cycle fails with one message: one grouped line
     degenerate = CONFIG.replace("kappa = 0.1", "kappa = 0.0").replace("omega = 0.5", "omega = 0.0")

@@ -62,24 +62,40 @@ class CycleParams(_Gaps):
     tau: float
 
     def __post_init__(self):
-        for fields, test, message in CYCLE_RULES:
-            if not test(self):
-                raise ValueError(message.format(*(getattr(self, name) for name in fields)))
+        require(CYCLE_RULES, **vars(self))
 
 
 CYCLE_FIELDS = tuple(f.name for f in fields(CycleParams))
 
-# The validity rules of a cycle in order of precedence, as (fields, test,
-# message): `test` takes a CycleParams, or a CycleArrays and holds elementwise,
-# and `message` is a template of the fields' values.
+# Rule kinds on one value, as (test, wording); a test takes a number, or an
+# array and holds elementwise.
+FINITE = (lambda v: abs(v) < math.inf, "finite")
+POSITIVE = (lambda v: v > 0.0, "positive")
+NONNEGATIVE = (lambda v: v >= 0.0, "nonnegative")
+
+
+def value_rules(**signs) -> tuple:
+    """Rules on named values, each first finite, then of its sign kind, as
+    (fields, test, message) with `message` a template of the fields' values."""
+    kinds = [(name, FINITE) for name in signs] + list(signs.items())
+    return tuple(((name,), test, f"{name} must be {wording}, got {{!r}}")
+                 for name, (test, wording) in kinds)
+
+
+def require(rules, **values) -> None:
+    """Raise the message of the first of `rules` that the named `values` break."""
+    for names, test, message in rules:
+        args = [values[name] for name in names]
+        if not test(*args):
+            raise ValueError(message.format(*args))
+
+
+# The validity rules of a cycle in order of precedence; `test` takes the
+# fields' values, of one cycle or (N,) columns of them.
 CYCLE_RULES = (
-    *(((name,), lambda p, name=name: abs(getattr(p, name)) < math.inf,
-       f"{name} must be finite, got {{!r}}") for name in CYCLE_FIELDS),
-    *(((name,), lambda p, name=name: getattr(p, name) > 0.0,
-       f"{name} must be positive, got {{!r}}") for name in ("eps_a", "eps_b", "beta_a", "beta_b")),
-    *(((name,), lambda p, name=name: getattr(p, name) >= 0.0,
-       f"{name} must be nonnegative, got {{!r}}") for name in ("kappa", "omega", "tau")),
-    (("beta_a", "beta_b"), lambda p: p.beta_a < p.beta_b,
+    *value_rules(eps_a=POSITIVE, eps_b=POSITIVE, beta_a=POSITIVE, beta_b=POSITIVE,
+                 kappa=NONNEGATIVE, omega=NONNEGATIVE, tau=NONNEGATIVE),
+    (("beta_a", "beta_b"), lambda beta_a, beta_b: beta_a < beta_b,
      "qubit a must be the hot one (beta_a < beta_b), got beta_a={!r}, beta_b={!r}"),
 )
 
@@ -122,8 +138,7 @@ class CycleArrays(_Gaps):
 
 def local_hamiltonian(eps: float) -> np.ndarray:
     """Single-qubit Hamiltonian -eps |e><e|, i.e. diag(0, -eps)."""
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    require(value_rules(eps=POSITIVE), eps=eps)
     return np.diag([0.0, -eps]).astype(complex)
 
 
@@ -133,10 +148,7 @@ def thermal_populations(eps: float, beta: float) -> tuple[float, float]:
     Evaluated in logistic form with exp(-beta*eps) only, so arbitrarily large
     beta*eps stays finite (p_g underflows to 0, p_e saturates at 1).
     """
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise ValueError(f"eps must be positive and finite, got {eps!r}")
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise ValueError(f"beta must be positive and finite, got {beta!r}")
+    require(value_rules(eps=POSITIVE, beta=POSITIVE), eps=eps, beta=beta)
     p_g, p_e = _gibbs(np.array([eps], dtype=float), np.array([beta], dtype=float))
     return float(p_g[0]), float(p_e[0])
 
@@ -162,7 +174,8 @@ _SX_SQUARED = SX @ SX
 def flag_invalid(c: CycleArrays, errors: RowErrors) -> None:
     """Fail the rows that break a rule of CYCLE_RULES, each with its first broken rule."""
     for names, test, message in CYCLE_RULES:
-        errors.flag(~test(c), message, *(getattr(c, name) for name in names))
+        args = [getattr(c, name) for name in names]
+        errors.flag(~test(*args), message, *args)
 
 
 def flag_degenerate(kappa: np.ndarray, omega: np.ndarray, errors: RowErrors) -> None:
@@ -191,10 +204,7 @@ def interaction_hamiltonian(kappa: float, omega: float) -> np.ndarray:
     Couples |gg> <-> |ee> and |ge> <-> |eg> only (checkerboard block
     structure); rejects the fully degenerate kappa = omega = 0 case.
     """
-    if not (math.isfinite(kappa) and kappa >= 0.0):
-        raise ValueError(f"kappa must be nonnegative and finite, got {kappa!r}")
-    if not (math.isfinite(omega) and omega >= 0.0):
-        raise ValueError(f"omega must be nonnegative and finite, got {omega!r}")
+    require(value_rules(kappa=NONNEGATIVE, omega=NONNEGATIVE), kappa=kappa, omega=omega)
     return checked(interaction_generators, np.array([float(kappa)]), np.array([float(omega)]))[0]
 
 

@@ -8,7 +8,8 @@ byte-identical for any pool width.
 """
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields
+from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,30 +25,6 @@ ROUTES = ("trace", "closed", "cf")
 # Routes whose formulas assume the interaction-only evolution.
 INTERACTION_ROUTES = ("closed", "cf")
 FULL_MODES = (PropagatorMode.FULL, PropagatorMode.ORACLE_FULL)
-
-CSV_COLUMNS = (
-    "swept_value",
-    "eps_a",
-    "eps_b",
-    "beta_a",
-    "beta_b",
-    "kappa",
-    "omega",
-    "tau",
-    "W",
-    "Q_H",
-    "Q_C",
-    "Sigma",
-    "eta",
-    "power",
-    "xi_general",
-    "xi_closed",
-    "coherence_l1",
-    "regime",
-    "resid_closed",
-    "resid_cf",
-)
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -92,11 +69,18 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One evaluated grid point.  On failure the numeric fields are None, `error`
-    is the error text and `cause` its message template, without the row's values."""
+    """One evaluated grid point; its fields up to `resid_cf`, in order, are the
+    CSV columns.  On failure the fields after the cycle's are None, `error` is
+    the error text and `cause` its message template, without the row's values."""
 
     swept_value: float
-    params: Optional[CycleParams]
+    eps_a: float
+    eps_b: float
+    beta_a: float
+    beta_b: float
+    kappa: float
+    omega: float
+    tau: float
     w: Optional[float] = None
     q_hot: Optional[float] = None
     q_cold: Optional[float] = None
@@ -113,10 +97,22 @@ class SweepRow:
     cause: Optional[str] = None
 
 
-def apply_variable(base: CycleParams, variable: str, value: float) -> CycleParams:
+CSV_FIELDS = tuple(f.name for f in fields(SweepRow))[:-2]
+# the only headers that differ from their field; the fields keep EnergyBook's names
+CSV_COLUMNS = tuple({"w": "W", "q_hot": "Q_H", "q_cold": "Q_C", "sigma": "Sigma"}.get(name, name)
+                    for name in CSV_FIELDS)
+
+
+def _swept(base: CycleParams, variable: str, values) -> dict:
+    """The fields of `base` with `variable` set to `values`, a number or an array."""
     if variable == "eps_ratio":
-        return replace(base, eps_b=value * base.eps_a)
-    return replace(base, **{variable: value})
+        with np.errstate(over="ignore"):  # an overflowing eps_b fails its finiteness rule
+            return {**asdict(base), "eps_b": values * base.eps_a}
+    return {**asdict(base), variable: values}
+
+
+def apply_variable(base: CycleParams, variable: str, value: float) -> CycleParams:
+    return CycleParams(**_swept(base, variable, value))
 
 
 def _book_residual(primary: EnergyBook, other: EnergyBook) -> np.ndarray:
@@ -137,15 +133,14 @@ def evaluate(
     """Evaluate the cycles `c` (swept values `values`) as one batch.
 
     A failing row carries the error text the one-cycle public functions raise
-    for it (a row that breaks a rule of `CycleParams` has no `params`); the
-    other rows are unaffected.  A row whose arithmetic overflows fails too, so
-    no non-finite number reaches the output.  The closed and cf routes read
+    for it, and its own cycle parameters as the rules saw them; the other rows
+    are unaffected.  A row whose arithmetic overflows fails too, so no
+    non-finite number reaches its numeric cells.  The closed and cf routes read
     the cycle parameters and populations only, never the trace route's
     unitary or evolved state, so their residuals stay an independent check.
     """
     errors = RowErrors()
     flag_invalid(c, errors)
-    invalid = set(errors.first)
     # overflowing rows fail below instead of warning once per array operation
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         pops = populations(c)
@@ -178,39 +173,28 @@ def evaluate(
     for name, column in numeric.items():
         errors.flag(~np.isfinite(column), f"{name} is not finite", error=ArithmeticError)
 
-    def cells(*names: str):
-        return (numeric[n].tolist() if n in numeric else [None] * len(c) for n in names)
-
-    columns = zip(
-        *cells("W", "Q_H", "Q_C", "Sigma"),
-        [eta if regime is Regime.ENGINE else None
-         for eta, regime in zip(primary.eta.tolist(), primary.regime)],
-        *cells("power", "xi_general", "xi_closed", "coherence_l1"),
-        [regime.value for regime in primary.regime],
-        *cells("resid_closed", "resid_cf"),
-    )
-    table = zip(*(getattr(c, name).tolist() for name in CYCLE_FIELDS))
-    params = [None if i in invalid else CycleParams(*row) for i, row in enumerate(table)]
+    cells = {
+        "swept_value": values,
+        **{name: getattr(c, name).tolist() for name in CYCLE_FIELDS},
+        **{name: column.tolist() for name, column in numeric.items()},
+        "eta": [eta if regime is Regime.ENGINE else None
+                for eta, regime in zip(primary.eta.tolist(), primary.regime)],
+        "regime": [regime.value for regime in primary.regime],
+    }
+    blank = [None] * len(c)
+    known = 1 + len(CYCLE_FIELDS)  # a failed row keeps its swept value and cycle
     return [
-        SweepRow(value, p, *numbers) if i not in errors.first
-        else SweepRow(value, p, error=str(errors.first[i]), cause=errors.cause[i])
-        for i, (value, p, numbers) in enumerate(zip(values, params, columns))
+        SweepRow(*row) if i not in errors.first
+        else SweepRow(*row[:known], error=str(errors.first[i]), cause=errors.cause[i])
+        for i, row in enumerate(zip(*(cells.get(name, blank) for name in CSV_COLUMNS)))
     ]
 
 
 def evaluate_grid(spec: SweepSpec, values: np.ndarray) -> list[SweepRow]:
-    """Evaluate grid values of `spec` in one batch, in grid order.
-
-    The batch is `spec.base` with the swept values in one column; a row whose
-    value breaks a rule of the cycle shows `spec.base` as its parameters.
-    """
-    columns = asdict(spec.base)
-    if spec.variable == "eps_ratio":
-        columns["eps_b"] = values * spec.base.eps_a
-    else:
-        columns[spec.variable] = values
-    rows = evaluate(values.tolist(), CycleArrays.from_columns(**columns), spec.mode, spec.routes)
-    return [row if row.params is not None else replace(row, params=spec.base) for row in rows]
+    """Evaluate grid values of `spec` in one batch, in grid order: `spec.base`
+    with the swept values in one column."""
+    c = CycleArrays.from_columns(**_swept(spec.base, spec.variable, values))
+    return evaluate(values.tolist(), c, spec.mode, spec.routes)
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
@@ -245,36 +229,8 @@ def _cell(value) -> str:
 
 def rows_to_csv(rows: Sequence[SweepRow]) -> str:
     """Render rows in the fixed column order, 17 significant digits, LF endings."""
-    lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        p = row.params
-        lines.append(
-            ",".join(
-                _cell(v)
-                for v in (
-                    row.swept_value,
-                    p.eps_a,
-                    p.eps_b,
-                    p.beta_a,
-                    p.beta_b,
-                    p.kappa,
-                    p.omega,
-                    p.tau,
-                    row.w,
-                    row.q_hot,
-                    row.q_cold,
-                    row.sigma,
-                    row.eta,
-                    row.power,
-                    row.xi_general,
-                    row.xi_closed,
-                    row.coherence_l1,
-                    row.regime,
-                    row.resid_closed,
-                    row.resid_cf,
-                )
-            )
-        )
+    cells = attrgetter(*CSV_FIELDS)
+    lines = [",".join(CSV_COLUMNS), *(",".join(map(_cell, cells(row))) for row in rows)]
     return "\n".join(lines) + "\n"
 
 

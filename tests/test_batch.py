@@ -59,7 +59,7 @@ def test_scalar_api_reproduces_sweep_rows_bit_for_bit(mode):
     spec = engine_spec(mode)
     rows = evaluate_grid(spec, spec.grid())
     for row in rows[::8]:
-        p = row.params
+        p = CycleParams(*(getattr(row, name) for name in CYCLE_FIELDS))
         book = energetics_trace(p, mode)
         assert (book.w, book.q_hot, book.q_cold, book.sigma) == (
             row.w, row.q_hot, row.q_cold, row.sigma)

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from twostroke.linalg import is_density, is_hermitian, kron
 from twostroke.model import (
@@ -86,12 +86,33 @@ def test_one_cycle_and_a_column_batch_break_the_same_rule(overrides, message):
     with pytest.raises(ValueError) as scalar:
         params(**overrides)
     assert str(scalar.value) == message
-    columns = {name: np.array([value]) for name, value in {**BASE, **overrides}.items()}
+    cycle = {**BASE, **overrides}
+    columns = {name: np.array([value]) for name, value in cycle.items()}
     batch = CycleArrays.from_columns(**columns)
     row, = evaluate([0.0], batch, PropagatorMode.INTERACTION_ONLY, ROUTES)
-    assert row.error == message and row.params is None and row.w is None
+    assert row.error == message and row.w is None
+    # the failed row shows the values the rule saw, not some other cycle
+    assert_array_equal([getattr(row, name) for name in cycle], list(cycle.values()))
     # the cause is the message with its values taken out
     assert row.cause == VALUE.sub("{!r}", message)
+
+
+# The one-value functions run the same rule kinds and texts: finite, then the sign.
+@pytest.mark.parametrize(
+    "function, args, message",
+    [
+        (local_hamiltonian, (math.nan,), "eps must be finite, got nan"),
+        (thermal_populations, (0.0, 1.0), "eps must be positive, got 0.0"),
+        (thermal_populations, (-1.0, math.nan), "beta must be finite, got nan"),
+        (interaction_hamiltonian, (-0.1, 0.5), "kappa must be nonnegative, got -0.1"),
+        (interaction_hamiltonian, (0.1, -math.inf), "omega must be finite, got -inf"),
+    ],
+    ids=["eps", "thermal-eps", "thermal-beta", "kappa", "omega"],
+)
+def test_one_value_functions_break_the_cycle_rules(function, args, message):
+    with pytest.raises(ValueError) as exc:
+        function(*args)
+    assert str(exc.value) == message
 
 
 def test_cycle_params_derived_fields():

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -105,11 +106,19 @@ def test_residual_columns_follow_routes():
 
 # --- CSV ------------------------------------------------------------------------------
 
+# the column list of the README's CSV schema section
+README_HEADER = (
+    "swept_value,eps_a,eps_b,beta_a,beta_b,kappa,omega,tau,"
+    "W,Q_H,Q_C,Sigma,eta,power,xi_general,xi_closed,coherence_l1,"
+    "regime,resid_closed,resid_cf"
+)
+
+
 def test_csv_schema_and_formatting():
     rows = run_sweep(small_spec(points=4))
     text = rows_to_csv(rows)
     lines = text.split("\n")
-    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert lines[0] == README_HEADER
     assert text.endswith("\n") and "\r" not in text
     assert len(lines) == 4 + 2  # header + rows + trailing newline
     # 17 significant digits round-trip exactly
@@ -358,14 +367,32 @@ def test_cli_reports_row_failures(tmp_path, capsys):
     config = tmp_path / "run.ini"
     out = tmp_path / "rows.csv"
     from_minus_two = CONFIG.replace("start = 0.0", "start = -2.0")
-    groups = {
-        "tau": "  3 rows, first at tau = -2.0: tau must be nonnegative, got -2.0",
-        "eps_ratio": "  3 rows, first at eps_ratio = -2.0: eps_b must be positive, got -2.0",
-    }
-    for variable, group in groups.items():
-        config.write_text(from_minus_two.replace("variable = tau", f"variable = {variable}"))
+    # eps_ratio * eps_a overflows: eps_b is inf, and numpy must not warn about it
+    overflowing = (CONFIG.replace("eps_a = 1.0", "eps_a = 1e200")
+                   .replace("start = 0.0", "start = 1e199").replace("stop = 4.0", "stop = 1e200"))
+    cases = [
+        ("tau", from_minus_two,
+         "  3 rows, first at tau = -2.0: tau must be nonnegative, got -2.0", [-2.0, -1.25, -0.5]),
+        ("eps_ratio", from_minus_two,
+         "  3 rows, first at eps_ratio = -2.0: eps_b must be positive, got -2.0", [-2.0, -1.25, -0.5]),
+        ("eps_ratio", overflowing,
+         "  9 rows, first at eps_ratio = 1e+199: eps_b must be finite, got inf",
+         np.linspace(1e199, 1e200, 9).tolist()),
+    ]
+    for variable, text, group, values in cases:
+        config.write_text(text.replace("variable = tau", f"variable = {variable}"))
         assert main(["sweep", "--config", str(config), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.splitlines() == [group, "3 rows failed"]
+        assert capsys.readouterr().err.splitlines() == [group, f"{len(values)} rows failed"]
+        # a failed row shows the cycle its rule saw: its swept value and the config's others
+        base = asdict(load_config(str(config))[0].base)
+        header, *lines = out.read_text().splitlines()
+        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        failed = [row for row in rows if row["W"] == ""]
+        assert [float(row["swept_value"]) for row in failed] == values
+        for row in failed:
+            value = float(row["swept_value"])
+            swept = {"eps_b": value * base["eps_a"]} if variable == "eps_ratio" else {variable: value}
+            assert {name: float(row[name]) for name in base} == {**base, **swept}
 
     # every row of a degenerate cycle fails with one message: one grouped line
     degenerate = CONFIG.replace("kappa = 0.1", "kappa = 0.0").replace("omega = 0.5", "omega = 0.0")

@@ -189,13 +189,18 @@ def interaction_generators(kappa: np.ndarray, omega: np.ndarray, errors: RowErro
     return kappa[:, None, None] * _SX_SQUARED + omega[:, None, None] * SZ
 
 
+def local_levels(c: CycleArrays) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonals of h_a x I and I x h_b for each row, each of shape (N, 4)."""
+    zero = np.zeros(len(c))
+    e_a = np.stack([zero, zero, -c.eps_a, -c.eps_a], axis=-1)
+    e_b = np.stack([zero, -c.eps_b, zero, -c.eps_b], axis=-1)
+    return e_a, e_b
+
+
 def free_generators(c: CycleArrays) -> np.ndarray:
     """Sum of the local Hamiltonians for each row, shape (N, 4, 4)."""
-    h = np.zeros((len(c), 4, 4), dtype=complex)
-    h[:, 1, 1] = -c.eps_b
-    h[:, 2, 2] = -c.eps_a
-    h[:, 3, 3] = -c.eps_a - c.eps_b
-    return h
+    e_a, e_b = local_levels(c)
+    return diagonal_states(e_a + e_b)
 
 
 def interaction_hamiltonian(kappa: float, omega: float) -> np.ndarray:

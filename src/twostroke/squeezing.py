@@ -33,7 +33,7 @@ class SqueezeReport:
 
     xi            squeezing parameter, < 1 means squeezed
     phi_opt       optimal quadrature angle in [0, pi)
-    delta_min     minimized transverse variance (xi = 2*delta_min for N = 2)
+    delta_min     minimized transverse variance, N/4 * xi
     coherence_l1  l1 coherence in the energy (computational) basis
     """
 
@@ -85,10 +85,8 @@ def squeezing_stack(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     alpha2 = (2.0 * diff_xy / N_SPINS) ** 2
     alpha3 = (2.0 * cross_xy / N_SPINS) ** 2
     xi = alpha1 - np.sqrt(alpha2 + alpha3)
-
-    delta_min = 0.5 * (sum_xy - np.hypot(diff_xy, cross_xy))
     phi_opt = (0.5 * math.pi + 0.5 * np.arctan2(cross_xy, diff_xy)) % math.pi
-    return xi, phi_opt, delta_min
+    return xi, phi_opt, N_SPINS / 4 * xi
 
 
 def coherence_stack(rho: np.ndarray) -> np.ndarray:
@@ -120,24 +118,20 @@ def variance_orthogonal(rho, phi: float) -> float:
     return 0.5 * sum_xy + 0.5 * diff_xy * math.cos(2.0 * phi) + 0.5 * cross_xy * math.sin(2.0 * phi)
 
 
-def _eta_sq(c: CycleArrays, variant: str) -> np.ndarray:
-    """Squeeze-amplitude factor of the closed form (not the engine efficiency eta)."""
-    if variant == CORRECTED:
-        g = np.hypot(c.kappa, 2.0 * c.omega)
-    else:
-        g = np.hypot(c.kappa, c.omega - 0.5 * c.eps_p)
-    return np.sqrt(16.0 * c.omega**2 + 2.0 * c.kappa**2 * (1.0 + np.cos(g * c.tau)))
-
-
 def xi_closed_stack(c: CycleArrays, pops: np.ndarray, variant: str = CORRECTED) -> np.ndarray:
-    """Closed-form squeezing parameter of each row's interaction-only evolved state."""
+    """Closed-form squeezing parameter of each row's interaction-only evolved state.
+
+    `g_corner` is the frequency in the sine, `g_amp` the one inside the
+    squeeze-amplitude factor; the corrected variant uses the corner-block
+    frequency for both.
+    """
     twist = c.kappa != 0.0
     if variant == CORRECTED:
-        g_corner = np.hypot(c.kappa, 2.0 * c.omega)
+        g_corner = g_amp = np.hypot(c.kappa, 2.0 * c.omega)
     else:
-        g_corner = np.hypot(c.kappa, c.omega)
+        g_corner, g_amp = np.hypot(c.kappa, c.omega), np.hypot(c.kappa, c.omega - 0.5 * c.eps_p)
+    amplitude = np.sqrt(16.0 * c.omega**2 + 2.0 * c.kappa**2 * (1.0 + np.cos(g_amp * c.tau)))
     g_corner = np.where(twist, g_corner, 1.0)
-    amplitude = _eta_sq(c, variant)
     zbar = corner_gap(pops)
     xi = 1.0 - c.kappa * zbar * amplitude * np.abs(np.sin(0.5 * g_corner * c.tau)) / g_corner**2
     return np.where(twist, xi, 1.0)

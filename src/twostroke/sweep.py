@@ -237,7 +237,3 @@ def rows_to_csv(rows: Sequence[SweepRow]) -> str:
 def write_csv(rows: Sequence[SweepRow], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(rows_to_csv(rows))
-
-
-def failure_count(rows: Sequence[SweepRow]) -> int:
-    return sum(1 for row in rows if row.error is not None)

@@ -20,7 +20,9 @@ from typing import Optional, Union
 import numpy as np
 
 from .linalg import Column, RowErrors, dagger, checked
-from .model import CycleArrays, CycleParams, center_gap, corner_gap, diagonal_states, populations
+from .model import (
+    CycleArrays, CycleParams, center_gap, corner_gap, diagonal_states, local_levels, populations,
+)
 from .propagators import PropagatorMode, evolved_states, unitaries
 
 DEAD_BAND = 1e-12
@@ -104,14 +106,16 @@ def _regimes(
 ) -> np.ndarray:
     """Operating regime of each row from the signs of work and heats.
 
-    Rows that break the first law fail.  Values inside the dead band count as
-    zero, so exact boundary points land in OTHER instead of flipping on
-    roundoff.
+    Rows that break the first law fail: |w + q_hot + q_cold| must stay within
+    FIRST_LAW_TOL * max(1, |w|, |q_hot|, |q_cold|), so roundoff at large
+    energies is not a violation.  Values inside the dead band count as zero,
+    so exact boundary points land in OTHER instead of flipping on roundoff.
     """
     total = w + q_hot + q_cold
-    errors.flag(
-        np.abs(total) > FIRST_LAW_TOL, "first-law violation: w + q_hot + q_cold = {!r}", total
-    )
+    scale = np.maximum(np.maximum(np.abs(w), np.abs(q_hot)), np.maximum(np.abs(q_cold), 1.0))
+    # an infinite total fails too, though its scale is infinite
+    errors.flag(np.isinf(total) | (np.abs(total) > FIRST_LAW_TOL * scale),
+                "first-law violation: w + q_hot + q_cold = {!r}", total)
     w, q_hot, q_cold = (np.where(np.abs(x) < DEAD_BAND, 0.0, x) for x in (w, q_hot, q_cold))
     regime = np.full(w.shape, Regime.OTHER, dtype=object)
     regime[(q_hot > 0.0) & (q_cold < 0.0) & (w < 0.0)] = Regime.ENGINE
@@ -168,14 +172,6 @@ def _book(
     )
 
 
-def _local_levels(c: CycleArrays) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonals of h_a x I and I x h_b for each row, each of shape (N, 4)."""
-    zero = np.zeros(len(c))
-    e_a = np.stack([zero, zero, -c.eps_a, -c.eps_a], axis=-1)
-    e_b = np.stack([zero, -c.eps_b, zero, -c.eps_b], axis=-1)
-    return e_a, e_b
-
-
 def _trace_diag(e: np.ndarray, d: np.ndarray) -> np.ndarray:
     """tr(diag(e) diag(d)) row by row, summed in basis order."""
     return e[:, 0] * d[:, 0] + e[:, 1] * d[:, 1] + e[:, 2] * d[:, 2] + e[:, 3] * d[:, 3]
@@ -189,7 +185,7 @@ def trace_book(
     Every Hamiltonian involved is diagonal in the product basis, so the
     traces need only the populations before (p0) and after the stroke.
     """
-    e_a, e_b = _local_levels(c)
+    e_a, e_b = local_levels(c)
     diff = np.diagonal(rho_tau, axis1=-2, axis2=-1).real - p0
     w = _trace_diag(e_a + e_b, diff)
     q_hot = -_trace_diag(e_a, diff)
@@ -307,7 +303,7 @@ def _cf_operator(c: CycleArrays, pops: np.ndarray, lam, nu, errors: RowErrors) -
     """F(lambda, nu) of every row as the defining trace tr(U† e^{iA} U e^{-iA} rho0),
     A = (lambda - nu) h_a + lambda h_b; lambda and nu are scalars or of shape (N,)."""
     u = unitaries(c, PropagatorMode.INTERACTION_ONLY, errors)
-    e_a, e_b = _local_levels(c)
+    e_a, e_b = local_levels(c)
     lam, nu = np.reshape(lam, (-1, 1)), np.reshape(nu, (-1, 1))
     phases = np.exp(1j * ((lam - nu) * e_a + lam * e_b))
     conjugated = dagger(u) @ diagonal_states(phases) @ u @ diagonal_states(np.conj(phases))

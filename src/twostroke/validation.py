@@ -12,6 +12,8 @@ import functools
 import math
 import time
 from dataclasses import dataclass, replace
+from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 
@@ -20,8 +22,9 @@ from .model import SX, SY, CycleArrays, CycleParams, populations
 from .presets import PRESETS, STRONG_COUPLING, engine_base, figure_preset, scaled_base
 from .propagators import PropagatorMode, align_global_phase, evolved_states, unitaries
 from .squeezing import flag_states, squeezing_stack, xi_closed_form, xi_closed_stack
-from .sweep import SweepSpec, apply_variable, rows_to_csv, run_sweep
+from .sweep import SweepSpec, _book_residual, apply_variable, rows_to_csv, run_sweep
 from .thermo import (
+    EnergyBook,
     Regime,
     _cf_closed,
     _cf_operator,
@@ -75,11 +78,21 @@ def reference_grid() -> tuple[CycleParams, ...]:
     )
 
 
+def _reference_cycles() -> tuple[CycleArrays, np.ndarray]:
+    """The reference grid as one batch, and its initial populations (built per call)."""
+    c = CycleArrays(reference_grid())
+    return c, populations(c)
+
+
+def _trace_books(c: CycleArrays, pops: np.ndarray, *modes: PropagatorMode) -> list[EnergyBook]:
+    """The trace-route book of the batch `c` in each of `modes`."""
+    return [checked(trace_route, c, pops, mode) for mode in modes]
+
+
 def check_propagator_equivalence() -> CheckResult:
     """Closed-form unitaries match the matrix-exponential oracle on the grid."""
     start = time.perf_counter()
-    grid = reference_grid()
-    c = CycleArrays(grid)
+    c, _ = _reference_cycles()
     oracle_int, oracle_full, u_int, u_full = (
         checked(unitaries, c, mode)
         for mode in (
@@ -97,7 +110,7 @@ def check_propagator_equivalence() -> CheckResult:
     elapsed = time.perf_counter() - start
     passed = worst_int < PROPAGATOR_TOL and worst_full < PROPAGATOR_TOL and elapsed < 5.0
     detail = (
-        f"{len(grid)} points; max |U_int - oracle| = {worst_int:.3e}, "
+        f"{len(c)} points; max |U_int - oracle| = {worst_int:.3e}, "
         f"max |U_full - oracle| (phase-aligned) = {worst_full:.3e}, "
         f"elapsed {elapsed:.2f}s (< 5s)"
     )
@@ -107,23 +120,19 @@ def check_propagator_equivalence() -> CheckResult:
 def check_route_equivalence() -> CheckResult:
     """Trace, closed-form, and characteristic-function energetics agree."""
     start = time.perf_counter()
-    grid = reference_grid()
-    c = CycleArrays(grid)
-    pops = populations(c)
-    trace = checked(trace_route, c, pops, PropagatorMode.INTERACTION_ONLY)
-    closed = checked(closed_book, c, pops)
+    c, pops = _reference_cycles()
+    trace, = _trace_books(c, pops, PropagatorMode.INTERACTION_ONLY)
+    worst_closed = float(np.max(_book_residual(trace, checked(closed_book, c, pops))))
     cf = checked(cf_book, c, pops)
-    worst_closed = 0.0
     worst_cf = 0.0
     for attr in ("w", "q_hot", "q_cold", "sigma"):
         t = getattr(trace, attr)
-        worst_closed = max(worst_closed, float(np.max(np.abs(t - getattr(closed, attr)))))
         scaled = np.abs(t - getattr(cf, attr)) / np.maximum(1.0, np.abs(t))
         worst_cf = max(worst_cf, float(np.max(scaled)))
     elapsed = time.perf_counter() - start
     passed = worst_closed < CLOSED_TOL and worst_cf < CF_REL_TOL and elapsed < 10.0
     detail = (
-        f"{len(grid)} points; max |trace - closed| = {worst_closed:.3e} (< 1e-9), "
+        f"{len(c)} points; max |trace - closed| = {worst_closed:.3e} (< 1e-9), "
         f"max scaled |trace - cf| = {worst_cf:.3e} (< 1e-6), elapsed {elapsed:.2f}s (< 10s)"
     )
     return CheckResult("thermodynamic route equivalence", passed, detail, elapsed)
@@ -132,9 +141,7 @@ def check_route_equivalence() -> CheckResult:
 def check_second_law() -> CheckResult:
     """Entropy production stays nonnegative at every grid point, both modes."""
     start = time.perf_counter()
-    c = CycleArrays(reference_grid())
-    pops = populations(c)
-    books = [checked(trace_route, c, pops, mode) for mode in BOTH_MODES]
+    books = _trace_books(*_reference_cycles(), *BOTH_MODES)
     worst = min(float(np.min(book.sigma)) for book in books)
     regimes = {regime.value for book in books for regime in book.regime}
     elapsed = time.perf_counter() - start
@@ -146,24 +153,12 @@ def check_second_law() -> CheckResult:
 def check_first_law() -> CheckResult:
     """w + q_hot + q_cold vanishes at every grid point, both modes."""
     start = time.perf_counter()
-    c = CycleArrays(reference_grid())
-    pops = populations(c)
-    books = [checked(trace_route, c, pops, mode) for mode in BOTH_MODES]
+    books = _trace_books(*_reference_cycles(), *BOTH_MODES)
     worst = max(float(np.max(np.abs(book.w + book.q_hot + book.q_cold))) for book in books)
     elapsed = time.perf_counter() - start
     passed = worst < FIRST_LAW_TOL
     detail = f"max |w + q_hot + q_cold| = {worst:.3e} (< 1e-12)"
     return CheckResult("first law", passed, detail, elapsed)
-
-
-def _label_runs(labels: list[str]) -> list[tuple[str, int]]:
-    runs: list[tuple[str, int]] = []
-    for label in labels:
-        if runs and runs[-1][0] == label:
-            runs[-1] = (label, runs[-1][1] + 1)
-        else:
-            runs.append((label, 1))
-    return runs
 
 
 def check_regime_bands() -> CheckResult:
@@ -180,7 +175,7 @@ def check_regime_bands() -> CheckResult:
     rows = run_sweep(figure_preset("fig2a")[0][1])
     errors = [r for r in rows if r.error is not None]
     labels = [r.regime for r in rows if r.error is None]
-    runs = _label_runs(labels)
+    runs = [(label, len(list(run))) for label, run in groupby(labels)]
     min_width = max(3, len(labels) // 50)
     macro = [label for label, width in runs if width >= min_width]
     dropped = sum(width for _, width in runs if width < min_width)
@@ -240,7 +235,7 @@ def _grid_search_min_variance(states: np.ndarray) -> np.ndarray:
 def check_squeezing_sanity() -> CheckResult:
     """Exact limits, global bound, grid-search oracle, rotation invariance."""
     start = time.perf_counter()
-    grid = reference_grid()
+    c, pops = _reference_cycles()
     problems = []
 
     base = replace(engine_base(0.1), tau=7.0)
@@ -249,8 +244,6 @@ def check_squeezing_sanity() -> CheckResult:
     if xi_closed_form(replace(base, tau=0.0)) != 1.0:
         problems.append("xi(tau=0) != 1 exactly")
 
-    c = CycleArrays(grid)
-    pops = populations(c)
     states = checked(evolved_states, c, pops, PropagatorMode.INTERACTION_ONLY)
     checked(flag_states, states)
     xi = squeezing_stack(states)[0]
@@ -258,14 +251,14 @@ def check_squeezing_sanity() -> CheckResult:
     if worst_bound > XI_BOUND_SLACK:
         problems.append(f"xi exceeds 1 by {worst_bound:.3e}")
 
-    stride = max(1, len(grid) // 40)
+    stride = max(1, len(c) // 40)
     brute = _grid_search_min_variance(states[::stride])
     worst_grid_search = float(np.max(np.abs(xi[::stride] - 2.0 * brute)))
     if worst_grid_search > GRID_SEARCH_TOL:
         problems.append(f"grid-search mismatch {worst_grid_search:.3e}")
 
     # rotations exp(-i theta S_z) by a random angle per state leave xi unchanged
-    stride = max(1, len(grid) // 25)
+    stride = max(1, len(c) // 25)
     sampled = states[::stride]
     theta = np.random.default_rng(20240517).uniform(0.0, 2.0 * math.pi, size=len(sampled))
     phases = np.exp(-1j * theta[:, None] * np.array([1.0, 0.0, 0.0, -1.0]))
@@ -289,8 +282,8 @@ def check_carnot_bound() -> CheckResult:
     """Engine efficiencies never beat Carnot; record the supremum vs the
     gap-ratio reference line (informational)."""
     start = time.perf_counter()
-    c = CycleArrays(reference_grid())
-    book = checked(trace_route, c, populations(c), PropagatorMode.INTERACTION_ONLY)
+    c, pops = _reference_cycles()
+    book, = _trace_books(c, pops, PropagatorMode.INTERACTION_ONLY)
     engine = book.regime == Regime.ENGINE
     engine_points = int(np.count_nonzero(engine))
     excess = (book.eta - carnot_efficiency(c))[engine]
@@ -348,12 +341,9 @@ def check_extremum_alignment() -> CheckResult:
     start = time.perf_counter()
     per_series = []
     passed = True
+    columns = attrgetter("xi_general", "coherence_l1", "eta", "sigma")  # None reads as NaN
     for label, spec in figure_preset("fig3a"):
-        rows = run_sweep(spec)
-        xi = np.array([r.xi_general if r.xi_general is not None else np.nan for r in rows])
-        coh = np.array([r.coherence_l1 if r.coherence_l1 is not None else np.nan for r in rows])
-        eta = np.array([r.eta if r.eta is not None else np.nan for r in rows])
-        sigma = np.array([r.sigma if r.sigma is not None else np.nan for r in rows])
+        xi, coh, eta, sigma = np.array([columns(r) for r in run_sweep(spec)], dtype=float).T
 
         xi_min = _finite_local_extrema(xi, find_min=True)
         xi_max = _finite_local_extrema(xi, find_min=False)

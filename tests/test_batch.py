@@ -37,8 +37,10 @@ ROUTES_OF_MODE = {
 }
 
 
-def engine_spec(mode):
-    base = CycleParams(eps_a=1.0, eps_b=0.6, beta_a=1.0, beta_b=2.0, kappa=0.1, omega=0.5, tau=1.0)
+def engine_spec(mode, scale=1.0):
+    """The engine point's tau sweep, with both gaps times `scale` and both betas over it."""
+    base = CycleParams(eps_a=1.0 * scale, eps_b=0.6 * scale, beta_a=1.0 / scale,
+                       beta_b=2.0 / scale, kappa=0.1, omega=0.5, tau=1.0)
     return SweepSpec(base=base, variable="tau", start=0.0, stop=60.0, points=41,
                      mode=mode, routes=ROUTES_OF_MODE[mode])
 
@@ -54,9 +56,12 @@ def test_csv_bytes_do_not_depend_on_chunking(mode):
         assert rows_to_csv(rows) == whole, f"{parts} chunks"
 
 
-@pytest.mark.parametrize("mode", list(PropagatorMode))
-def test_scalar_api_reproduces_sweep_rows_bit_for_bit(mode):
-    spec = engine_spec(mode)
+# every mode at three energy scales; scale 1 keeps the mode's own test id
+@pytest.mark.parametrize("mode, scale", [
+    pytest.param(mode, scale, id=str(mode) if scale == 1.0 else f"{mode}-scale{scale}")
+    for scale in (1.0, 2.5, 0.4) for mode in PropagatorMode])
+def test_scalar_api_reproduces_sweep_rows_bit_for_bit(mode, scale):
+    spec = engine_spec(mode, scale)
     rows = evaluate_grid(spec, spec.grid())
     for row in rows[::8]:
         p = CycleParams(*(getattr(row, name) for name in CYCLE_FIELDS))
@@ -143,6 +148,7 @@ def test_routes_and_oracle_agree_on_random_batches(params):
     for mode in (PropagatorMode.INTERACTION_ONLY, PropagatorMode.FULL):
         book = checked(trace_route, c, pops, mode)
         assert np.max(np.abs(book.w + book.q_hot + book.q_cold)) <= 1e-12
+        assert np.min(book.sigma) >= -1e-12
 
 
 # Each breaks one rule of a batch's first cycle: kappa = omega = 0 passes

@@ -17,7 +17,6 @@ from twostroke.sweep import (
     CSV_COLUMNS,
     SweepSpec,
     apply_variable,
-    failure_count,
     rows_to_csv,
     run_sweep,
 )
@@ -70,7 +69,7 @@ def test_rows_ordered_and_complete():
     assert len(rows) == 13
     values = [r.swept_value for r in rows]
     assert values == sorted(values)
-    assert failure_count(rows) == 0
+    assert not any(row.error for row in rows)
 
 
 def test_zero_time_row_is_inert():
@@ -90,9 +89,18 @@ def test_error_rows_do_not_abort_the_sweep():
     )
     rows = run_sweep(spec)
     assert len(rows) == 5
-    assert failure_count(rows) == 2
+    assert sum(row.error is not None for row in rows) == 2
     assert rows[0].error is not None and rows[0].w is None
     assert rows[-1].error is None and rows[-1].w is not None
+
+
+def test_first_law_row_check_scales_with_the_energies():
+    # beta * eps held at the engine point: the rows are the eps_a = 1 engine's
+    # cycles, whose first-law roundoff (~1e-10 absolute here) is ~1e-18 relative
+    base = CycleParams(eps_a=1e8, eps_b=6e7, beta_a=1e-8, beta_b=2e-8,
+                       kappa=0.1, omega=0.5, tau=1.0)
+    spec = SweepSpec(base, "tau", 0.0, 60.0, 200, routes=("trace", "closed"))
+    assert [row.error for row in run_sweep(spec) if row.error is not None] == []
 
 
 def test_residual_columns_follow_routes():
@@ -343,8 +351,14 @@ def test_cli_usage_errors(tmp_path, monkeypatch, capsys):
     assert main(["sweep", "--preset", "fig9", "--out", out, "--workers", "0"]) == 2
     assert main(["sweep", "--config", str(tmp_path / "missing.ini"), "--out", out]) == 2
     assert main(["sweep", "--preset", "fig9", "--out", str(tmp_path / "no" / "x.csv")]) == 2
+    # SweepSpec judges the route names, for a preset and for a config alike
+    config = tmp_path / "run.ini"
+    config.write_text(CONFIG)
+    for routes in ("bogus", ","):
+        assert main(["sweep", "--preset", "fig9", "--out", out, "--routes", routes]) == 2
+        assert main(["sweep", "--config", str(config), "--out", out, "--routes", routes]) == 2
     errors = capsys.readouterr().err.splitlines()
-    assert len(errors) == 6 and all(line.startswith("error: ") for line in errors)
+    assert len(errors) == 10 and all(line.startswith("error: ") for line in errors)
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2

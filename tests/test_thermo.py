@@ -48,6 +48,10 @@ def test_classify_dead_band_is_other():
 def test_classify_rejects_first_law_violation():
     with pytest.raises(ValueError):
         classify_regime(0.3, 0.3, 0.3)
+    # the bound scales with the energies, but an infinite total still fails
+    assert classify_regime(-1e8, 3e8, -2e8 + 1e-7) is Regime.ENGINE
+    with pytest.raises(ValueError, match="first-law violation"):
+        classify_regime(np.inf, 0.0, 0.0)
 
 
 # --- trace route ------------------------------------------------------------------

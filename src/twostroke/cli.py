@@ -129,6 +129,8 @@ def _cmd_sweep(args) -> int:
         raise UsageError("provide --out (or an `out` key in the config)")
     if not out.parent.is_dir():
         raise UsageError(f"output directory {out.parent} does not exist")
+    if out.is_dir():
+        raise UsageError(f"output path {out} is a directory, not a CSV file")
 
     failures = 0
     multi = len(series) > 1
@@ -199,7 +201,3 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

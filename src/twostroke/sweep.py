@@ -66,6 +66,10 @@ class SweepSpec:
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.points)
 
+    def cycles(self, values: np.ndarray) -> CycleArrays:
+        """`base` with the swept variable at each of `values`, as one batch."""
+        return CycleArrays.from_columns(**_swept(self.base, self.variable, values))
+
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -193,8 +197,7 @@ def evaluate(
 def evaluate_grid(spec: SweepSpec, values: np.ndarray) -> list[SweepRow]:
     """Evaluate grid values of `spec` in one batch, in grid order: `spec.base`
     with the swept values in one column."""
-    c = CycleArrays.from_columns(**_swept(spec.base, spec.variable, values))
-    return evaluate(values.tolist(), c, spec.mode, spec.routes)
+    return evaluate(values.tolist(), spec.cycles(values), spec.mode, spec.routes)
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:

@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from twostroke import validation
 from twostroke.model import SX, SY, CycleParams, initial_state, thermal_state
-from twostroke.linalg import kron
-from twostroke.propagators import PropagatorMode, evolve, propagator
+from twostroke.linalg import checked, kron
+from twostroke.propagators import PropagatorMode, evolve, evolved_states, propagator
 from twostroke.squeezing import (
     l1_coherence,
     variance_orthogonal,
@@ -122,17 +124,63 @@ def test_grid_search_oracle_matches_analytic_minimum(rng):
         assert abs(report.delta_min - brute_force_min_variance(rho)) < 1e-9
 
 
-def test_validation_grid_search_matches_analytic_minimum():
-    states = [evolved(params(tau=t)) for t in (0.7, 3.1, 9.4)]
-    # a rotation about z puts the optimal angle just below pi, i.e. in the
-    # coarse grid's wrap-around cell around phi = 0
+def wrap_around_state():
+    """A state whose optimal angle lies just below pi, i.e. in the coarse
+    grid's wrap-around cell around phi = 0 (a rotation about z puts it there)."""
     rho = evolved(params(tau=7.0))
     theta = (math.pi - 1e-5) - xi_general(rho).phi_opt
     rot = np.diag(np.exp(-1j * theta * np.array([1.0, 0.0, 0.0, -1.0])))
-    states.append(rot @ rho @ rot.conj().T)
+    return rot @ rho @ rot.conj().T
+
+
+def test_validation_grid_search_matches_analytic_minimum():
+    states = [evolved(params(tau=t)) for t in (0.7, 3.1, 9.4)] + [wrap_around_state()]
     assert xi_general(states[-1]).phi_opt > math.pi - 1e-4
     for rho, brute in zip(states, _grid_search_min_variance(np.array(states))):
         assert abs(xi_general(rho).delta_min - brute) < 1e-12
+
+
+def whole_stack_squared_components(phi):
+    s_phi = np.cos(phi)[:, None, None] * SX + np.sin(phi)[:, None, None] * SY
+    return (s_phi @ s_phi).reshape(len(phi), 16)
+
+
+def whole_stack_min_variance(states):
+    """The grid-search oracle as it was before it streamed its angles: the
+    whole 10,000-angle S_phi^2 stack at once, each state contracted on its own."""
+    phi = np.linspace(0.0, math.pi, 10_000, endpoint=False)
+    coarse = whole_stack_squared_components(phi)
+    step = phi[1] - phi[0]
+    minima = np.empty(len(states))
+    for k, rho in enumerate(states):
+        # tr(S rho) = sum_ij S_ij rho_ji; einsum, not a threaded BLAS matrix-vector call
+        flat = rho.T.reshape(16)
+        variances = np.einsum("ai,i->a", coarse, flat).real
+        best = int(np.argmin(variances))
+        cell = whole_stack_squared_components(
+            np.linspace(phi[best] - step, phi[best] + step, 1001))
+        minima[k] = min(variances[best], float(np.min(np.einsum("ai,i->a", cell, flat).real)))
+    return minima
+
+
+def heap_peak(function, *args):
+    tracemalloc.start()
+    try:
+        function(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_grid_search_is_bit_identical_and_holds_half_the_heap():
+    # the states check_squeezing_sanity samples, and the wrap-around cell
+    c, pops = validation._reference_cycles()
+    states = checked(evolved_states, c, pops, PropagatorMode.INTERACTION_ONLY)
+    states = np.concatenate([states[::max(1, len(c) // 40)], [wrap_around_state()]])
+    assert len(states) == 41
+    assert np.array_equal(_grid_search_min_variance(states), whole_stack_min_variance(states))
+    streamed = heap_peak(_grid_search_min_variance, states)
+    assert streamed <= heap_peak(whole_stack_min_variance, states) / 2
 
 
 def test_minimized_variance_is_a_lower_bound():

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
@@ -357,8 +358,15 @@ def test_cli_usage_errors(tmp_path, monkeypatch, capsys):
     for routes in ("bogus", ","):
         assert main(["sweep", "--preset", "fig9", "--out", out, "--routes", routes]) == 2
         assert main(["sweep", "--config", str(config), "--out", out, "--routes", routes]) == 2
+    # an existing directory is no CSV path, as a flag (with or without its slash) or in a config
+    assert main(["sweep", "--preset", "fig2a", "--out", str(tmp_path)]) == 2
+    assert main(["sweep", "--preset", "fig9", "--out", f"{tmp_path}/"]) == 2
+    config.write_text(CONFIG + f"out = {tmp_path}\n")
+    assert main(["sweep", "--config", str(config)]) == 2
+    assert not list(tmp_path.parent.glob(f"{tmp_path.name}__*"))
     errors = capsys.readouterr().err.splitlines()
-    assert len(errors) == 10 and all(line.startswith("error: ") for line in errors)
+    assert len(errors) == 13 and all(line.startswith("error: ") for line in errors)
+    assert errors[-1] == f"error: output path {tmp_path} is a directory, not a CSV file"
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
@@ -426,6 +434,35 @@ def test_cli_import_leaves_process_pool_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_python_m_twostroke_runs_the_cli(tmp_path):
+    src = os.path.dirname(os.path.dirname(twostroke.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-m", "twostroke", "sweep", "--out", str(tmp_path / "x.csv")]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert out.returncode == 2
+    assert out.stderr == "error: provide --preset or --config\n"
+
+
+def test_carnot_supremum_is_the_sweep_rows_supremum():
+    for _, spec in figure_preset("fig4a"):
+        assert validation._sup_eta(spec) == max(r.eta for r in run_sweep(spec) if r.eta is not None)
+
+
+def test_validate_keeps_no_state_between_calls(monkeypatch):
+    # perfbench times repeated calls in one process: a cache would time its own hits
+    calls = Counter()
+    for name in ("trace_route", "evolved_states"):
+        def counted(*args, _name=name, _kernel=getattr(validation, name)):
+            calls[_name] += 1
+            return _kernel(*args)
+        monkeypatch.setattr(validation, name, counted)
+    validation.run_validation()
+    first = Counter(calls)
+    validation.run_validation()
+    assert first["trace_route"] > 0 and first["evolved_states"] > 0
+    assert calls == first + first
 
 
 def test_finite_local_extrema_match_a_pointwise_scan(rng):

@@ -7,31 +7,13 @@ coherence diagnostics both in closed form and from the evolved state, with
 every closed form cross-checked against a brute-force oracle.
 """
 
-from .linalg import (
-    dagger,
-    expm_unitary,
-    is_density,
-    is_hermitian,
-    is_unitary,
-    kron,
-)
-from .model import (
-    CycleParams,
-    free_hamiltonian,
-    initial_state,
-    interaction_hamiltonian,
-    local_hamiltonian,
-    thermal_state,
-)
+from .model import CycleParams, initial_state
 from .propagators import (
     PropagatorMode,
     align_global_phase,
     closed_vs_oracle_residuals,
     evolve,
     propagator,
-    propagator_full_closed,
-    propagator_interaction_closed,
-    propagator_oracle,
 )
 from .squeezing import SqueezeReport, l1_coherence, variance_orthogonal, xi_closed_form, xi_general
 from .sweep import SweepRow, SweepSpec, run_sweep, write_csv
@@ -63,29 +45,16 @@ __all__ = [
     "characteristic_function",
     "classify_regime",
     "closed_vs_oracle_residuals",
-    "dagger",
     "energetics_closed",
     "energetics_trace",
     "evolve",
-    "expm_unitary",
     "figure_preset",
-    "free_hamiltonian",
     "initial_state",
-    "interaction_hamiltonian",
-    "is_density",
-    "is_hermitian",
-    "is_unitary",
-    "kron",
     "l1_coherence",
-    "local_hamiltonian",
     "moments_from_cf",
     "propagator",
-    "propagator_full_closed",
-    "propagator_interaction_closed",
-    "propagator_oracle",
     "run_sweep",
     "run_validation",
-    "thermal_state",
     "variance_orthogonal",
     "write_csv",
     "xi_closed_form",

@@ -6,7 +6,7 @@ matrix exponential is done by Hermitian eigendecomposition rather than
 scaling-and-squaring, which also hands us the spectrum for free.
 
 Batch code reports per-row failures through `RowErrors`, so one bad row of a
-stack never stops its neighbours; the one-matrix functions raise instead.
+stack never stops its neighbours; `checked` raises them for one-row callers.
 """
 
 from typing import Union
@@ -90,32 +90,6 @@ def density_mask(a: np.ndarray, tol: float = DENSITY_TOL) -> np.ndarray:
     return ok & (np.linalg.eigvalsh(herm).min(axis=-1) >= -tol)
 
 
-def is_hermitian(m, tol: float = HERMITIAN_TOL) -> bool:
-    return bool(hermitian_mask(as_cmat(m), tol))
-
-
-def is_unitary(m, tol: float = UNITARY_TOL) -> bool:
-    return bool(unitary_mask(as_cmat(m), tol))
-
-
-def is_density(m, tol: float = DENSITY_TOL) -> bool:
-    """Hermitian, unit trace, and eigenvalues >= -tol."""
-    return bool(density_mask(as_cmat(m), tol))
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two 2x2 operators.
-
-    Slot order is (first operand) x (second operand), i.e. two-qubit basis
-    order |gg>, |ge>, |eg>, |ee>.
-    """
-    a = as_cmat(a)
-    b = as_cmat(b)
-    if a.shape[0] != 2 or b.shape[0] != 2:
-        raise ValueError("kron expects two 2x2 operands")
-    return np.kron(a, b)
-
-
 def expm_stack(h: np.ndarray, t: np.ndarray) -> np.ndarray:
     """exp(-i h t) for a stack of Hermitian h (N, d, d) and times t (N,).
 
@@ -125,10 +99,3 @@ def expm_stack(h: np.ndarray, t: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * w * t[:, None])[:, None, :]) @ dagger(v)
 
-
-def expm_unitary(h, t: float) -> np.ndarray:
-    """exp(-i h t) for Hermitian h, computed through the eigendecomposition."""
-    a = as_cmat(h)
-    if not is_hermitian(a):
-        raise ValueError(NOT_HERMITIAN)
-    return expm_stack(a[None], np.array([float(t)]))[0]

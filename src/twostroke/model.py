@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import RowErrors, kron, checked
+from .linalg import RowErrors
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -75,9 +75,11 @@ NONNEGATIVE = (lambda v: v >= 0.0, "nonnegative")
 
 
 def value_rules(**signs) -> tuple:
-    """Rules on named values, each first finite, then of its sign kind, as
-    (fields, test, message) with `message` a template of the fields' values."""
-    kinds = [(name, FINITE) for name in signs] + list(signs.items())
+    """Rules on named values, each first finite, then of its sign kind (none
+    for FINITE), as (fields, test, message) with `message` a template of the
+    fields' values."""
+    kinds = [(name, FINITE) for name in signs]
+    kinds += [(name, kind) for name, kind in signs.items() if kind is not FINITE]
     return tuple(((name,), test, f"{name} must be {wording}, got {{!r}}")
                  for name, (test, wording) in kinds)
 
@@ -136,38 +138,17 @@ class CycleArrays(_Gaps):
         return len(self.tau)
 
 
-def local_hamiltonian(eps: float) -> np.ndarray:
-    """Single-qubit Hamiltonian -eps |e><e|, i.e. diag(0, -eps)."""
-    require(value_rules(eps=POSITIVE), eps=eps)
-    return np.diag([0.0, -eps]).astype(complex)
-
-
-def thermal_populations(eps: float, beta: float) -> tuple[float, float]:
-    """Gibbs populations (p_g, p_e) of the local Hamiltonian.
-
-    Evaluated in logistic form with exp(-beta*eps) only, so arbitrarily large
-    beta*eps stays finite (p_g underflows to 0, p_e saturates at 1).
-    """
-    require(value_rules(eps=POSITIVE, beta=POSITIVE), eps=eps, beta=beta)
-    p_g, p_e = _gibbs(np.array([eps], dtype=float), np.array([beta], dtype=float))
-    return float(p_g[0]), float(p_e[0])
-
-
 def _gibbs(eps: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gibbs populations (p_g, p_e) of the local Hamiltonian, in logistic form
+    with exp(-beta*eps) only, so large beta*eps underflows p_g to 0, not NaN."""
     w = np.exp(-beta * eps)
     return w / (1.0 + w), 1.0 / (1.0 + w)
 
 
-def thermal_state(eps: float, beta: float) -> np.ndarray:
-    """Local thermal equilibrium state exp(-beta H)/Z as a diagonal 2x2 matrix."""
-    p_g, p_e = thermal_populations(eps, beta)
-    return np.diag([p_g, p_e]).astype(complex)
-
-
 # Collective operators S_alpha = (sigma_alpha x I + I x sigma_alpha)/2.
-SX = 0.5 * (kron(SIGMA_X, IDENTITY_2) + kron(IDENTITY_2, SIGMA_X))
-SY = 0.5 * (kron(SIGMA_Y, IDENTITY_2) + kron(IDENTITY_2, SIGMA_Y))
-SZ = 0.5 * (kron(SIGMA_Z, IDENTITY_2) + kron(IDENTITY_2, SIGMA_Z))
+SX = 0.5 * (np.kron(SIGMA_X, IDENTITY_2) + np.kron(IDENTITY_2, SIGMA_X))
+SY = 0.5 * (np.kron(SIGMA_Y, IDENTITY_2) + np.kron(IDENTITY_2, SIGMA_Y))
+SZ = 0.5 * (np.kron(SIGMA_Z, IDENTITY_2) + np.kron(IDENTITY_2, SIGMA_Z))
 _SX_SQUARED = SX @ SX
 
 
@@ -201,21 +182,6 @@ def free_generators(c: CycleArrays) -> np.ndarray:
     """Sum of the local Hamiltonians for each row, shape (N, 4, 4)."""
     e_a, e_b = local_levels(c)
     return diagonal_states(e_a + e_b)
-
-
-def interaction_hamiltonian(kappa: float, omega: float) -> np.ndarray:
-    """Twisting-plus-field coupling kappa*S_x^2 + omega*S_z.
-
-    Couples |gg> <-> |ee> and |ge> <-> |eg> only (checkerboard block
-    structure); rejects the fully degenerate kappa = omega = 0 case.
-    """
-    require(value_rules(kappa=NONNEGATIVE, omega=NONNEGATIVE), kappa=kappa, omega=omega)
-    return checked(interaction_generators, np.array([float(kappa)]), np.array([float(omega)]))[0]
-
-
-def free_hamiltonian(p: CycleParams) -> np.ndarray:
-    """Sum of the local Hamiltonians: diag(0, -eps_b, -eps_a, -eps_a-eps_b)."""
-    return free_generators(CycleArrays([p]))[0]
 
 
 def populations(c: CycleArrays) -> np.ndarray:

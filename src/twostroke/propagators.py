@@ -148,23 +148,6 @@ def unitaries(c: CycleArrays, mode: PropagatorMode, errors: RowErrors) -> np.nda
     raise ValueError(f"unknown propagator mode {mode!r}")
 
 
-def propagator_interaction_closed(p: CycleParams, variant: str = CORRECTED) -> np.ndarray:
-    """Closed-form unitary for the interaction generator alone."""
-    _check_variant(variant)
-    return checked(_closed, CycleArrays([p]), False, variant)[0]
-
-
-def propagator_full_closed(p: CycleParams, variant: str = CORRECTED) -> np.ndarray:
-    """Closed-form unitary for the full generator (free part included)."""
-    _check_variant(variant)
-    return checked(_closed, CycleArrays([p]), True, variant)[0]
-
-
-def propagator_oracle(p: CycleParams, include_free: bool) -> np.ndarray:
-    """Ground-truth unitary: matrix exponential of the exact generator."""
-    return checked(_oracle, CycleArrays([p]), include_free)[0]
-
-
 def propagator(p: CycleParams, mode: PropagatorMode) -> np.ndarray:
     """Dispatch to the requested construction (closed forms are corrected)."""
     return checked(unitaries, CycleArrays([p]), mode)[0]
@@ -204,6 +187,8 @@ def align_global_phase(u: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """
     u = as_cmat(u)
     reference = as_cmat(reference)
+    if u.shape != reference.shape:
+        raise ValueError("unitary and reference dimensions differ")
     idx = np.unravel_index(np.argmax(np.abs(reference)), reference.shape)
     z = reference[idx] * np.conj(u[idx])
     mag = abs(z)
@@ -219,12 +204,13 @@ def closed_vs_oracle_residuals(p: CycleParams) -> dict[str, float]:
     The corrected entries quantify roundoff; the verbatim entries quantify
     how far the published constants sit from the exact block dynamics.
     """
-    oracle_int = propagator_oracle(p, include_free=False)
-    oracle_full = propagator_oracle(p, include_free=True)
+    c = CycleArrays([p])
+    oracle_int = checked(_oracle, c, False)[0]
+    oracle_full = checked(_oracle, c, True)[0]
     out = {}
     for variant in _VARIANTS:
-        u_int = propagator_interaction_closed(p, variant)
-        u_full = align_global_phase(propagator_full_closed(p, variant), oracle_full)
+        u_int = checked(_closed, c, False, variant)[0]
+        u_full = align_global_phase(checked(_closed, c, True, variant)[0], oracle_full)
         out[f"interaction_{variant}"] = float(np.max(np.abs(u_int - oracle_int)))
         out[f"full_{variant}"] = float(np.max(np.abs(u_full - oracle_full)))
     return out

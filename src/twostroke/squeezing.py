@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import RowErrors, as_cmat, density_mask, checked
-from .model import SX, SY, SZ, CycleArrays, CycleParams, corner_gap, populations
+from .model import (
+    FINITE, SX, SY, SZ, CycleArrays, CycleParams, corner_gap, populations, require, value_rules,
+)
 from .propagators import CORRECTED, _check_variant
 
 N_SPINS = 2
@@ -60,13 +62,19 @@ def flag_states(rho: np.ndarray, errors: RowErrors) -> None:
     errors.flag(np.abs(sz_mean) <= MEAN_SPIN_MIN, "mean spin direction undefined: <S_z> vanishes")
 
 
-def _msd_state(rho) -> np.ndarray:
-    """One state as a stack of one, after the checks of `flag_states`."""
+def _two_qubit(rho) -> np.ndarray:
+    """One 4x4 matrix as a stack of one."""
     rho = as_cmat(rho)
     if rho.shape[0] != 4:
         raise ValueError("expected a two-qubit (4x4) state")
-    checked(flag_states, rho[None])
     return rho[None]
+
+
+def _msd_state(rho) -> np.ndarray:
+    """One state as a stack of one, after the checks of `flag_states`."""
+    stack = _two_qubit(rho)
+    checked(flag_states, stack)
+    return stack
 
 
 def _second_moments(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -114,6 +122,7 @@ def xi_general(rho) -> SqueezeReport:
 
 def variance_orthogonal(rho, phi: float) -> float:
     """Variance of the spin component at angle `phi` in the transverse plane."""
+    require(value_rules(phi=FINITE), phi=phi)
     sum_xy, diff_xy, cross_xy = (float(m[0]) for m in _second_moments(_msd_state(rho)))
     return 0.5 * sum_xy + 0.5 * diff_xy * math.cos(2.0 * phi) + 0.5 * cross_xy * math.sin(2.0 * phi)
 
@@ -157,7 +166,7 @@ def l1_coherence(rho) -> float:
     that basis is the energy basis; it stays the fixed convention even when
     eps_a = eps_b makes the eigenbasis degenerate.
     """
-    rho = as_cmat(rho)
-    if not density_mask(rho):
+    stack = _two_qubit(rho)
+    if not density_mask(stack)[0]:
         raise ValueError("rho is not a density matrix within tolerance")
-    return float(coherence_stack(rho[None])[0])
+    return float(coherence_stack(stack)[0])

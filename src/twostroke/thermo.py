@@ -21,7 +21,8 @@ import numpy as np
 
 from .linalg import Column, RowErrors, dagger, checked
 from .model import (
-    CycleArrays, CycleParams, center_gap, corner_gap, diagonal_states, local_levels, populations,
+    FINITE, CycleArrays, CycleParams, center_gap, corner_gap, diagonal_states, local_levels,
+    populations, require, value_rules,
 )
 from .propagators import PropagatorMode, evolved_states, unitaries
 
@@ -130,6 +131,7 @@ def classify_regime(w: float, q_hot: float, q_cold: float) -> Regime:
     Values inside the dead band count as zero, so exact boundary points land
     in OTHER instead of flipping on roundoff.
     """
+    require(value_rules(w=FINITE, q_hot=FINITE, q_cold=FINITE), w=w, q_hot=q_hot, q_cold=q_cold)
     return checked(_regimes, *(np.array([float(x)]) for x in (w, q_hot, q_cold)))[0]
 
 
@@ -191,14 +193,6 @@ def trace_book(
     q_hot = -_trace_diag(e_a, diff)
     q_cold = -_trace_diag(e_b, diff)
     return _book(c, w, q_hot, q_cold, method, errors)
-
-
-def energetics_from_states(
-    p: CycleParams, rho0: np.ndarray, rho_tau: np.ndarray, method: str
-) -> EnergyBook:
-    """Trace-formula energetics given the initial and evolved states."""
-    p0 = np.diagonal(rho0).real[None]
-    return checked(trace_book, CycleArrays([p]), p0, np.asarray(rho_tau)[None], method).row(0)
 
 
 def trace_route(
@@ -272,6 +266,7 @@ def characteristic_function(
     """
     if form not in ("closed", "operator"):
         raise ValueError(f"form must be 'closed' or 'operator', got {form!r}")
+    require(value_rules(lam=FINITE, nu=FINITE), lam=lam, nu=nu)
     c = CycleArrays([p])
     pops = populations(c)
     if form == "closed":

@@ -24,8 +24,8 @@ from twostroke.thermo import (
     cf_book,
     closed_book,
     energetics_closed,
-    energetics_from_states,
     energetics_trace,
+    trace_book,
     trace_route,
 )
 
@@ -69,7 +69,8 @@ def test_scalar_api_reproduces_sweep_rows_bit_for_bit(mode, scale):
         assert (book.w, book.q_hot, book.q_cold, book.sigma) == (
             row.w, row.q_hot, row.q_cold, row.sigma)
         rho = evolve(initial_state(p), propagator(p, mode))
-        assert energetics_from_states(p, initial_state(p), rho, book.method) == book
+        p0 = np.diagonal(initial_state(p)).real[None]
+        assert checked(trace_book, CycleArrays([p]), p0, rho[None], book.method).row(0) == book
         assert xi_general(rho).xi == row.xi_general
         assert l1_coherence(rho) == row.coherence_l1
         # the closed form describes the interaction-only evolution alone

@@ -3,8 +3,15 @@
 The sha256 of the CSV of every distinct preset sweep, of fig2a under the two
 full-generator modes (trace route), and of the quick `validate` report with
 its timings masked.  A change that means to alter an output updates the
-digest in the same commit and says why.  The digests were taken with
-numpy 2.4.6 on x86-64; another numpy may round a last digit differently.
+digest in the same commit and says why.
+
+The digests are pinned to a numerical build, not only to a numpy version:
+numpy 2.4.6 linking OpenBLAS 0.3.31 (built with DYNAMIC_ARCH, running its
+SkylakeX core), with numpy's SIMD dispatch reaching AVX512_SPR.  Another BLAS
+kernel or SIMD level rounds last digits differently: under
+OPENBLAS_CORETYPE=Sandybridge 50-78% of the rows of each pinned series
+change, by at most 9.7e-16 absolute in W, Q_H, Q_C and Sigma, and both tests
+here fail.  Removing the BLAS dependence is ROADMAP item 11.
 """
 
 import hashlib

@@ -5,24 +5,29 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from twostroke.linalg import is_density, is_hermitian, kron
+from twostroke.linalg import RowErrors, checked, density_mask, hermitian_mask
 from twostroke.model import (
+    DEGENERATE,
     IDENTITY_4,
+    NONNEGATIVE,
+    POSITIVE,
     SIGMA_X,
     SX,
     SY,
     SZ,
     CycleArrays,
     CycleParams,
+    _gibbs,
     center_gap,
     corner_gap,
-    free_hamiltonian,
+    flag_invalid,
+    free_generators,
     initial_state,
-    interaction_hamiltonian,
-    local_hamiltonian,
+    interaction_generators,
+    local_levels,
     populations,
-    thermal_populations,
-    thermal_state,
+    require,
+    value_rules,
 )
 from twostroke.propagators import PropagatorMode
 from twostroke.sweep import ROUTES, evaluate
@@ -33,6 +38,22 @@ BASE = dict(eps_a=1.0, eps_b=0.6, beta_a=1.0, beta_b=2.0, kappa=0.1, omega=0.5, 
 
 def params(**overrides):
     return CycleParams(**{**BASE, **overrides})
+
+
+def columns(**overrides):
+    """BASE as a batch of one row, or of as many rows as the overriding arrays."""
+    return CycleArrays.from_columns(**{**BASE, "tau": np.array([BASE["tau"]]), **overrides})
+
+
+def gibbs(eps, beta):
+    """(p_g, p_e) of one qubit."""
+    p_g, p_e = _gibbs(np.array([eps]), np.array([beta]))
+    return np.array([p_g[0], p_e[0]])
+
+
+def interaction(kappa, omega):
+    """kappa*S_x^2 + omega*S_z of one row."""
+    return checked(interaction_generators, np.array([kappa]), np.array([omega]))[0]
 
 
 # --- CycleParams validation --------------------------------------------------
@@ -97,21 +118,25 @@ def test_one_cycle_and_a_column_batch_break_the_same_rule(overrides, message):
     assert row.cause == VALUE.sub("{!r}", message)
 
 
-# The one-value functions run the same rule kinds and texts: finite, then the sign.
+# Rules on single named values run the same rule kinds and texts: finite, then the sign.
 @pytest.mark.parametrize(
-    "function, args, message",
+    "kinds, values, message",
     [
-        (local_hamiltonian, (math.nan,), "eps must be finite, got nan"),
-        (thermal_populations, (0.0, 1.0), "eps must be positive, got 0.0"),
-        (thermal_populations, (-1.0, math.nan), "beta must be finite, got nan"),
-        (interaction_hamiltonian, (-0.1, 0.5), "kappa must be nonnegative, got -0.1"),
-        (interaction_hamiltonian, (0.1, -math.inf), "omega must be finite, got -inf"),
+        ({"eps": POSITIVE}, {"eps": math.nan}, "eps must be finite, got nan"),
+        ({"eps": POSITIVE, "beta": POSITIVE}, {"eps": 0.0, "beta": 1.0},
+         "eps must be positive, got 0.0"),
+        ({"eps": POSITIVE, "beta": POSITIVE}, {"eps": -1.0, "beta": math.nan},
+         "beta must be finite, got nan"),
+        ({"kappa": NONNEGATIVE, "omega": NONNEGATIVE}, {"kappa": -0.1, "omega": 0.5},
+         "kappa must be nonnegative, got -0.1"),
+        ({"kappa": NONNEGATIVE, "omega": NONNEGATIVE}, {"kappa": 0.1, "omega": -math.inf},
+         "omega must be finite, got -inf"),
     ],
     ids=["eps", "thermal-eps", "thermal-beta", "kappa", "omega"],
 )
-def test_one_value_functions_break_the_cycle_rules(function, args, message):
+def test_one_value_functions_break_the_cycle_rules(kinds, values, message):
     with pytest.raises(ValueError) as exc:
-        function(*args)
+        require(value_rules(**kinds), **values)
     assert str(exc.value) == message
 
 
@@ -124,43 +149,45 @@ def test_cycle_params_derived_fields():
 # --- local Hamiltonian and thermal states ------------------------------------
 
 def test_local_hamiltonian_values():
-    assert_allclose(local_hamiltonian(1.0), np.diag([0.0, -1.0]), atol=0)
-    assert_allclose(local_hamiltonian(0.6), np.diag([0.0, -0.6]), atol=0)
+    # h = diag(0, -eps), qubit a in the first slot
+    e_a, e_b = local_levels(columns(eps_a=np.array([1.0, 0.6]), eps_b=np.array([0.6, 0.3])))
+    assert_array_equal(e_a, [[0.0, 0.0, -1.0, -1.0], [0.0, 0.0, -0.6, -0.6]])
+    assert_array_equal(e_b, [[0.0, -0.6, 0.0, -0.6], [0.0, -0.3, 0.0, -0.3]])
 
 
 def test_local_hamiltonian_gap():
-    for eps in (0.3, 1.0, 7.5):
-        evals = np.linalg.eigvalsh(local_hamiltonian(eps))
-        assert evals.max() - evals.min() == pytest.approx(eps)
+    gaps = np.array([0.3, 1.0, 7.5])
+    for levels in local_levels(columns(eps_a=gaps, eps_b=gaps)):
+        assert_allclose(levels.max(axis=1) - levels.min(axis=1), gaps, rtol=1e-15)
 
 
 def test_local_hamiltonian_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        local_hamiltonian(0.0)
-    with pytest.raises(ValueError):
-        local_hamiltonian(-1.0)
+    errors = RowErrors()
+    flag_invalid(columns(eps_a=np.array([0.0, -1.0, 1.0])), errors)
+    assert [str(errors.first[i]) for i in sorted(errors.first)] == [
+        "eps_a must be positive, got 0.0", "eps_a must be positive, got -1.0"]
 
 
 def test_thermal_state_infinite_temperature_limit():
-    assert_allclose(thermal_state(1.0, 1e-12), np.diag([0.5, 0.5]), atol=1e-9)
+    assert_allclose(gibbs(1.0, 1e-12), [0.5, 0.5], atol=1e-9)
 
 
 def test_thermal_state_gibbs_weights():
     # scalar oracle: populations (1/Z, e/Z) with Z = 1 + e
     z = 1.0 + math.e
-    rho = thermal_state(1.0, 1.0)
-    assert_allclose(np.diag(rho).real, [1.0 / z, math.e / z], atol=1e-15)
-    assert_allclose(np.diag(rho).real, [0.26894, 0.73106], atol=1e-5)
-    assert is_density(rho, 1e-14)
+    pops = gibbs(1.0, 1.0)
+    assert_allclose(pops, [1.0 / z, math.e / z], atol=1e-15)
+    assert_allclose(pops, [0.26894, 0.73106], atol=1e-5)
+    assert density_mask(np.diag(pops).astype(complex), 1e-14)
 
 
 def test_thermal_state_ground_state_limit():
     # the -eps level saturates at low temperature
-    assert_allclose(thermal_state(1.0, 50.0), np.diag([0.0, 1.0]), atol=1e-9)
+    assert_allclose(gibbs(1.0, 50.0), [0.0, 1.0], atol=1e-9)
 
 
 def test_thermal_state_survives_extreme_beta():
-    p_g, p_e = thermal_populations(1.0, 5000.0)
+    p_g, p_e = gibbs(1.0, 5000.0)
     assert p_g == 0.0 and p_e == 1.0
 
 
@@ -172,7 +199,7 @@ def test_collective_sz_spectrum():
 
 def test_collective_sx_squared():
     # expansion of ((sigma_x x I + I x sigma_x)/2)^2 by Pauli algebra
-    expected = 0.5 * (IDENTITY_4 + kron(SIGMA_X, SIGMA_X))
+    expected = 0.5 * (IDENTITY_4 + np.kron(SIGMA_X, SIGMA_X))
     assert_allclose(SX @ SX, expected, atol=1e-15)
 
 
@@ -184,19 +211,17 @@ def test_collective_su2_commutator():
 # --- interaction and free Hamiltonians ----------------------------------------
 
 def test_interaction_field_only():
-    assert_allclose(
-        interaction_hamiltonian(0.0, 2.0), 2.0 * np.diag([1.0, 0.0, 0.0, -1.0]), atol=0
-    )
+    assert_allclose(interaction(0.0, 2.0), 2.0 * np.diag([1.0, 0.0, 0.0, -1.0]), atol=0)
 
 
 def test_interaction_twisting_only():
-    expected = 0.5 * 0.7 * (IDENTITY_4 + kron(SIGMA_X, SIGMA_X))
-    assert_allclose(interaction_hamiltonian(0.7, 0.0), expected, atol=1e-15)
+    expected = 0.5 * 0.7 * (IDENTITY_4 + np.kron(SIGMA_X, SIGMA_X))
+    assert_allclose(interaction(0.7, 0.0), expected, atol=1e-15)
 
 
 def test_interaction_block_structure():
-    h = interaction_hamiltonian(1.0, 10.0)
-    assert is_hermitian(h, 1e-14)
+    h = interaction(1.0, 10.0)
+    assert hermitian_mask(h, 1e-14)
     # no matrix elements between the {gg, ee} and {ge, eg} blocks
     for i in (0, 3):
         for j in (1, 2):
@@ -204,21 +229,24 @@ def test_interaction_block_structure():
 
 
 def test_interaction_rejects_degenerate():
-    with pytest.raises(ValueError):
-        interaction_hamiltonian(0.0, 0.0)
+    errors = RowErrors()
+    interaction_generators(np.array([0.0, 0.1, 0.0]), np.array([0.0, 0.0, 0.5]), errors)
+    assert list(errors.first) == [0] and str(errors.first[0]) == DEGENERATE
+    with pytest.raises(ValueError, match="degenerate"):
+        interaction(0.0, 0.0)
 
 
 def test_free_hamiltonian_diagonal():
-    h = free_hamiltonian(params())
+    h = free_generators(columns())[0]
     assert_allclose(h, np.diag([0.0, -0.6, -1.0, -1.6]).astype(complex), atol=1e-15)
-    assert is_hermitian(h, 1e-14)
+    assert hermitian_mask(h, 1e-14)
 
 
 def test_free_hamiltonian_commutators():
-    h0 = free_hamiltonian(params())
-    h_field = interaction_hamiltonian(0.0, 0.5)
+    h0 = free_generators(columns())[0]
+    h_field = interaction(0.0, 0.5)
     assert np.max(np.abs(h0 @ h_field - h_field @ h0)) == 0.0
-    h_twist = interaction_hamiltonian(0.1, 0.5)
+    h_twist = interaction(0.1, 0.5)
     assert np.max(np.abs(h0 @ h_twist - h_twist @ h0)) > 1e-3
 
 
@@ -228,13 +256,11 @@ def test_initial_state_is_uncorrelated_product():
     p = CycleParams(eps_a=1.0, eps_b=0.5, beta_a=1.0, beta_b=2.0, kappa=1.0, omega=10.0, tau=1.0)
     rho = initial_state(p)
     pops = populations(CycleArrays([p]))[0]
-    assert is_density(rho, 1e-14)
+    assert density_mask(rho, 1e-14)
     assert np.max(np.abs(rho - np.diag(pops))) == 0.0
     assert np.all((pops > 0) & (pops < 1))
     assert pops.sum() == pytest.approx(1.0, abs=1e-14)
-    pa = np.diag(thermal_state(p.eps_a, p.beta_a)).real
-    pb = np.diag(thermal_state(p.eps_b, p.beta_b)).real
-    assert_allclose(pops, np.kron(pa, pb), atol=1e-16)
+    assert_allclose(pops, np.kron(gibbs(p.eps_a, p.beta_a), gibbs(p.eps_b, p.beta_b)), atol=1e-16)
 
 
 def test_initial_state_mean_transverse_spin_vanishes():
@@ -245,8 +271,8 @@ def test_initial_state_mean_transverse_spin_vanishes():
 
 def test_swap_symmetric_product_of_equal_thermal_states():
     # with identical gaps and temperatures the product state is swap invariant
-    zeta = thermal_state(1.0, 1.3)
-    rho = kron(zeta, zeta)
+    zeta = np.diag(gibbs(1.0, 1.3)).astype(complex)
+    rho = np.kron(zeta, zeta)
     swap = np.array(
         [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
     )

@@ -4,27 +4,32 @@ from dataclasses import replace
 from numpy.testing import assert_allclose
 
 from conftest import random_hermitian
-from twostroke.linalg import dagger, expm_unitary, is_unitary
-from twostroke.model import CycleParams, initial_state
+from twostroke.linalg import checked, dagger, expm_stack, unitary_mask
+from twostroke.model import CycleArrays, CycleParams, initial_state
 from twostroke.propagators import (
     PropagatorMode,
+    _closed,
     align_global_phase,
     closed_vs_oracle_residuals,
     evolve,
     propagator,
-    propagator_full_closed,
-    propagator_interaction_closed,
-    propagator_oracle,
 )
 from twostroke.validation import reference_grid
 
 ALL_MODES = tuple(PropagatorMode)
+INTERACTION, FULL = PropagatorMode.INTERACTION_ONLY, PropagatorMode.FULL
+ORACLE_INTERACTION, ORACLE_FULL = PropagatorMode.ORACLE_INTERACTION, PropagatorMode.ORACLE_FULL
 
 
 def params(**overrides):
     base = dict(eps_a=1.0, eps_b=0.6, beta_a=1.0, beta_b=2.0, kappa=0.1, omega=0.5, tau=2.0)
     base.update(overrides)
     return CycleParams(**base)
+
+
+def verbatim(p, include_free):
+    """One cycle's closed-form unitary with the published constants."""
+    return checked(_closed, CycleArrays([p]), include_free, "verbatim")[0]
 
 
 # --- trivial limits -----------------------------------------------------------
@@ -39,12 +44,12 @@ def test_field_only_oracle_is_diagonal():
     # kappa = 0: generator omega*S_z with S_z eigenvalues (1, 0, 0, -1)
     p = params(kappa=0.0, omega=0.7, tau=1.9)
     expected = np.diag(np.exp(-1j * 0.7 * 1.9 * np.array([1.0, 0.0, 0.0, -1.0])))
-    assert_allclose(propagator_oracle(p, include_free=False), expected, atol=1e-13)
-    assert_allclose(propagator_interaction_closed(p), expected, atol=1e-13)
+    assert_allclose(propagator(p, ORACLE_INTERACTION), expected, atol=1e-13)
+    assert_allclose(propagator(p, INTERACTION), expected, atol=1e-13)
 
 
 def test_no_twisting_kills_entangling_entries():
-    u = propagator_interaction_closed(params(kappa=0.0, omega=0.7, tau=3.0))
+    u = propagator(params(kappa=0.0, omega=0.7, tau=3.0), INTERACTION)
     assert_allclose(u[1:3, 1:3], np.eye(2), atol=1e-14)
     assert u[0, 3] == 0 and u[3, 0] == 0
 
@@ -52,34 +57,34 @@ def test_no_twisting_kills_entangling_entries():
 def test_degenerate_generator_rejected():
     p = params(kappa=0.0, omega=0.0)
     with pytest.raises(ValueError):
-        propagator_interaction_closed(p)
+        propagator(p, INTERACTION)
     with pytest.raises(ValueError):
-        propagator_full_closed(p)
+        propagator(p, FULL)
 
 
 # --- closed forms vs the matrix-exponential oracle ----------------------------
 
 def test_interaction_closed_matches_oracle_strong_coupling():
     p = params(eps_b=0.5, kappa=1.0, omega=10.0, tau=1.0)
-    diff = propagator_interaction_closed(p) - propagator_oracle(p, include_free=False)
+    diff = propagator(p, INTERACTION) - propagator(p, ORACLE_INTERACTION)
     assert np.max(np.abs(diff)) < 1e-10
 
 
 def test_full_closed_matches_oracle_after_phase_alignment():
     for r in np.linspace(0.05, 2.0, 17):
         p = params(eps_b=float(r), kappa=0.1, omega=1.0, tau=0.1)
-        oracle = propagator_oracle(p, include_free=True)
-        aligned = align_global_phase(propagator_full_closed(p), oracle)
+        oracle = propagator(p, ORACLE_FULL)
+        aligned = align_global_phase(propagator(p, FULL), oracle)
         assert np.max(np.abs(aligned - oracle)) < 1e-10
 
 
 def test_closed_matches_oracle_on_reference_grid():
     worst_int = worst_full = 0.0
     for p in reference_grid():
-        oracle_int = propagator_oracle(p, include_free=False)
-        oracle_full = propagator_oracle(p, include_free=True)
-        u_int = propagator_interaction_closed(p)
-        u_full = align_global_phase(propagator_full_closed(p), oracle_full)
+        oracle_int = propagator(p, ORACLE_INTERACTION)
+        oracle_full = propagator(p, ORACLE_FULL)
+        u_int = propagator(p, INTERACTION)
+        u_full = align_global_phase(propagator(p, FULL), oracle_full)
         worst_int = max(worst_int, float(np.max(np.abs(u_int - oracle_int))))
         worst_full = max(worst_full, float(np.max(np.abs(u_full - oracle_full))))
     assert worst_int < 1e-10
@@ -90,7 +95,7 @@ def test_full_reduces_to_interaction_in_vanishing_gap_limit():
     # delta_eps -> 0 and eps_p -> 0 cannot be reached exactly (gaps must stay
     # positive); tiny gaps approach the interaction-only assembly linearly
     p = params(eps_a=1e-8, eps_b=1e-8, kappa=0.4, omega=0.9, tau=1.3)
-    diff = propagator_full_closed(p) - propagator_interaction_closed(p)
+    diff = propagator(p, FULL) - propagator(p, INTERACTION)
     assert np.max(np.abs(diff)) < 5e-7
 
 
@@ -100,7 +105,7 @@ def test_unitarity_and_block_sparsity_everywhere():
     for p in reference_grid()[::7]:
         for mode in ALL_MODES:
             u = propagator(p, mode)
-            assert is_unitary(u, 1e-12)
+            assert unitary_mask(u, 1e-12)
             for i in (0, 3):
                 for j in (1, 2):
                     assert abs(u[i, j]) < 1e-14
@@ -125,16 +130,15 @@ def test_closed_form_block_frequencies():
     def amplitude(gamma):
         return 0.3 * abs(np.sin(0.5 * gamma * p.tau)) / gamma
 
-    u = propagator_interaction_closed(p)
+    u = propagator(p, INTERACTION)
     assert abs(u[0, 3]) == pytest.approx(amplitude(np.hypot(0.3, 1.6)))
-    u = propagator_interaction_closed(p, "verbatim")
+    u = verbatim(p, False)
     assert abs(u[0, 3]) == pytest.approx(amplitude(np.hypot(0.3, 0.8)))
-    u = propagator_full_closed(p)
+    u = propagator(p, FULL)
     assert abs(u[0, 3]) == pytest.approx(amplitude(np.hypot(0.3, 1.6 + p.eps_p)))
-    for variant in ("corrected", "verbatim"):
-        u = propagator_full_closed(p, variant)
+    for u in (propagator(p, FULL), verbatim(p, True)):
         assert abs(u[1, 2]) == pytest.approx(amplitude(np.hypot(0.3, p.delta_eps)))
-    u = propagator_full_closed(p, "verbatim")
+    u = verbatim(p, True)
     assert abs(u[0, 3]) == pytest.approx(amplitude(np.hypot(0.3, 0.8 - 0.5 * p.eps_p)))
 
 
@@ -151,6 +155,12 @@ def test_verbatim_constants_disagree_with_oracle():
     assert res0["interaction_verbatim"] < 1e-12
 
 
+def test_phase_alignment_rejects_mismatched_shapes():
+    for u, reference in ((np.eye(2), np.eye(4)), (np.eye(4), np.eye(2))):
+        with pytest.raises(ValueError, match="dimensions differ"):
+            align_global_phase(u, reference)
+
+
 # --- evolve ---------------------------------------------------------------------
 
 def test_evolve_identity_and_commuting():
@@ -165,7 +175,7 @@ def test_evolve_preserves_spectrum_and_trace(rng):
     p = params()
     rho0 = initial_state(p)
     for _ in range(5):
-        u = expm_unitary(random_hermitian(rng, 4), rng.uniform(0, 3))
+        u = expm_stack(random_hermitian(rng, 4)[None], rng.uniform(0, 3, size=1))[0]
         rho = evolve(rho0, u)
         assert abs(np.trace(rho).real - 1.0) < 1e-12
         got = np.linalg.eigvalsh(rho)
@@ -183,6 +193,6 @@ def test_evolve_rejects_non_unitary():
 
 def test_evolved_state_is_physical():
     p = params(tau=7.7)
-    rho = evolve(initial_state(p), propagator(p, PropagatorMode.FULL))
+    rho = evolve(initial_state(p), propagator(p, FULL))
     assert abs(np.trace(rho).real - 1.0) < 1e-12
     assert np.linalg.eigvalsh(0.5 * (rho + dagger(rho))).min() > -1e-12

@@ -6,8 +6,8 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from twostroke import validation
-from twostroke.model import SX, SY, CycleParams, initial_state, thermal_state
-from twostroke.linalg import checked, kron
+from twostroke.model import SX, SY, CycleParams, initial_state
+from twostroke.linalg import checked
 from twostroke.propagators import PropagatorMode, evolve, evolved_states, propagator
 from twostroke.squeezing import (
     l1_coherence,
@@ -79,7 +79,7 @@ def test_xi_equals_twice_minimized_variance():
 
 def test_msd_violation_raises_with_operator_name():
     plus_x = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
-    rho = kron(plus_x, thermal_state(1.0, 2.0))
+    rho = np.kron(plus_x, np.diag([0.3, 0.7]))
     with pytest.raises(ValueError, match="S_x"):
         xi_general(rho)
     with pytest.raises(ValueError, match="S_z"):
@@ -227,6 +227,12 @@ def test_bell_state_coherence():
     vec[0] = vec[3] = 1.0 / math.sqrt(2.0)
     rho = np.outer(vec, vec.conj())
     assert l1_coherence(rho) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_one_qubit_matrices_are_rejected_as_two_qubit_states():
+    for function in (l1_coherence, xi_general):
+        with pytest.raises(ValueError, match=r"expected a two-qubit \(4x4\) state"):
+            function(np.eye(2) / 2)
 
 
 def test_coherence_maxima_track_squeezing_minima():

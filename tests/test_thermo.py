@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from twostroke.model import CycleParams
+from twostroke.linalg import checked
+from twostroke.model import CycleParams, initial_state
 from twostroke.propagators import PropagatorMode
+from twostroke.squeezing import variance_orthogonal
 from twostroke.thermo import (
     Regime,
+    _regimes,
     carnot_efficiency,
+    characteristic_function,
     classify_regime,
     closed_sigma_terms,
     energetics_closed,
@@ -50,8 +54,29 @@ def test_classify_rejects_first_law_violation():
         classify_regime(0.3, 0.3, 0.3)
     # the bound scales with the energies, but an infinite total still fails
     assert classify_regime(-1e8, 3e8, -2e8 + 1e-7) is Regime.ENGINE
+    infinite = (np.array([x]) for x in (np.inf, 0.0, 0.0))
     with pytest.raises(ValueError, match="first-law violation"):
-        classify_regime(np.inf, 0.0, 0.0)
+        checked(_regimes, *infinite)
+
+
+# The one-row functions reject a non-finite scalar argument by name; the batch
+# kernels they run stay free of the check, so no sweep row's text changes.
+@pytest.mark.parametrize(
+    "function, args, message",
+    [
+        (classify_regime, (np.nan, 1.0, -1.0), "w must be finite, got nan"),
+        (classify_regime, (np.inf, -np.inf, 0.0), "w must be finite, got inf"),
+        (classify_regime, (-0.1, 0.25, np.nan), "q_cold must be finite, got nan"),
+        (characteristic_function, (params(), np.nan, 0.0), "lam must be finite, got nan"),
+        (characteristic_function, (params(), 0.0, -np.inf), "nu must be finite, got -inf"),
+        (variance_orthogonal, (initial_state(params()), np.nan), "phi must be finite, got nan"),
+    ],
+    ids=["w-nan", "w-inf", "q_cold", "lam", "nu", "phi"],
+)
+def test_one_row_functions_reject_non_finite_scalars(function, args, message):
+    with pytest.raises(ValueError) as exc:
+        function(*args)
+    assert str(exc.value) == message
 
 
 # --- trace route ------------------------------------------------------------------
